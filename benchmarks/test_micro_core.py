@@ -88,23 +88,3 @@ def test_interner_throughput(benchmark):
 def test_full_bisimulation_partition(benchmark, efo_union):
     partition = benchmark(lambda: bisimulation_partition(efo_union))
     assert partition.num_classes > 1
-
-
-@pytest.mark.parametrize("shards", [1, 8])
-def test_sharded_refinement(benchmark, efo_union, shards):
-    """BSP-style sharded refinement (the paper's MapReduce remark)."""
-    from repro.core.sharded import sharded_refine_fixpoint
-
-    def run():
-        interner = ColorInterner()
-        partition, __ = sharded_refine_fixpoint(
-            efo_union,
-            label_partition(efo_union, interner),
-            None,
-            interner,
-            shards=shards,
-        )
-        return partition
-
-    partition = benchmark(run)
-    assert partition.num_classes > 1

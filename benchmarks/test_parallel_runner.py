@@ -43,7 +43,6 @@ from repro.evaluation.metrics import (
 from repro.experiments.cells import method_counts_cell
 from repro.experiments.parallel import (
     fork_available,
-    run_sharded,
     run_store_cells,
     usable_cpus,
 )
@@ -135,7 +134,7 @@ def seed_path() -> tuple:
 # ----------------------------------------------------------------------
 # The batch path (fresh stores per run so every measurement starts cold)
 # ----------------------------------------------------------------------
-def store_path(jobs: int = 1) -> tuple:
+def store_path() -> tuple:
     efo_store = VersionStore(
         EFOGenerator(scale=EFO_SCALE, seed=EFO_SEED, versions=EFO_VERSIONS)
     )
@@ -145,27 +144,19 @@ def store_path(jobs: int = 1) -> tuple:
         for source in range(EFO_VERSIONS)
         for target in range(source, EFO_VERSIONS)
     ]
-
-    def matrix_cell(pair):
-        source, target = pair
-        return (
+    matrix_rows = [
+        (
             source,
             target,
             efo_store.aligned_edge_ratio(source, target, "trivial"),
             efo_store.aligned_edge_ratio(source, target, "deblank"),
         )
-
-    matrix_rows = run_sharded(matrix_cell, pairs, jobs=jobs)
-
-    def count_cell(pair):
-        source, target = pair
-        return (
-            source,
-            target,
-            efo_store.aligned_edge_count(source, target, "deblank"),
-        )
-
-    count_rows = run_sharded(count_cell, pairs, jobs=jobs)
+        for source, target in pairs
+    ]
+    count_rows = [
+        (source, target, efo_store.aligned_edge_count(source, target, "deblank"))
+        for source, target in pairs
+    ]
 
     gtopdb_store = VersionStore(
         GtoPdbGenerator(
@@ -173,19 +164,19 @@ def store_path(jobs: int = 1) -> tuple:
         )
     )
     gtopdb_store.prepare(summaries=True)
-
-    def pair_cell(index):
+    pair_rows = []
+    for index in range(GTOPDB_VERSIONS - 1):
         context = gtopdb_store.cell_context(index, index + 1)
         weighted, _trace = gtopdb_store.overlap_result(
             index, index + 1, AlignConfig(theta=THETA)
         )
-        return (
-            index,
-            matched_entity_count(context.union, context.hybrid),
-            matched_entity_count(context.union, weighted.partition),
+        pair_rows.append(
+            (
+                index,
+                matched_entity_count(context.union, context.hybrid),
+                matched_entity_count(context.union, weighted.partition),
+            )
         )
-
-    pair_rows = run_sharded(pair_cell, range(GTOPDB_VERSIONS - 1), jobs=jobs)
     return tuple(matrix_rows), tuple(count_rows), tuple(pair_rows)
 
 

@@ -1,17 +1,22 @@
 """The robustness harness must be free when nothing fails.
 
-One gated measurement: ``robustness/retry_overhead`` compares the
-serial cell runner — which now routes every cell through the fault
-hooks (``faults.ACTIVE is None`` guards), builds a
+One gated measurement: ``robustness/retry_overhead`` is the per-cell
+cost of the serial cell runner — which routes every cell through the
+fault hooks (``faults.ACTIVE is None`` guards), builds a
 :class:`~repro.robustness.RetryPolicy` from the config, and carries the
-recovery plumbing — against the bare ``[cell(store, config, item) for
-item in items]`` loop it replaces.  Both paths run over a *fresh* store
-(no memoized artifacts carry over), so the comparison is real work vs
-real work and the delta is exactly the harness's clean-path cost.
+recovery plumbing — over the bare ``[cell(store, config, item) for item
+in items]`` loop it replaces.
 
-Gate: ≤ 5 % overhead.  The measurement is appended to
-``results/bench.json`` with the baseline timing so trajectory tooling
-can tell noise from regression.
+Timing two runs of a real EFO matrix against each other cannot isolate
+that cost: a real cell takes 15–21 ms, the harness ~0.05 µs, and
+run-to-run noise on a small box swings the ratio by ±30 %.  So the
+harness is timed on its own — both loops over a module-level no-op cell
+on :data:`PROBE_ITEMS` items, interleaved, min of :data:`PROBE_REPEATS`
+— and its per-cell cost is gated at ≤ 5 % of the real per-cell time.
+The real 8×8 EFO matrix (bare and harnessed, each over a fresh store)
+is timed too and recorded report-only.
+
+Every measurement is appended to ``results/bench.json``.
 """
 
 from __future__ import annotations
@@ -30,12 +35,18 @@ from .conftest import record_bench
 
 SCALE, SEED, VERSIONS = 1.5, 777, 8
 MAX_OVERHEAD = 0.05
+PROBE_ITEMS = 20_000
+PROBE_REPEATS = 7
 
 PAIRS = [
     (source, target)
     for source in range(VERSIONS)
     for target in range(source, VERSIONS)
 ]
+
+
+def _noop_cell(store, config, item):
+    return item
 
 
 def _fresh_store() -> VersionStore:
@@ -53,43 +64,46 @@ def _timed(function) -> tuple[float, list]:
     return time.perf_counter() - started, result
 
 
-def _bare() -> tuple[float, list]:
-    store = _fresh_store()
+def _bare(store, cell, items, config) -> tuple[float, list]:
+    return _timed(lambda: [cell(store, config, item) for item in items])
+
+
+def _guarded(store, cell, items, config) -> tuple[float, list]:
+    return _timed(
+        lambda: run_store_cells(store, cell, items, jobs=1, config=config)
+    )
+
+
+def _harness_cost_per_cell() -> float:
+    """Seconds the serial runner adds per cell, min of interleaved runs."""
+    items = list(range(PROBE_ITEMS))
     config = AlignConfig()
-    return _timed(
-        lambda: [edge_ratio_cell(store, config, pair) for pair in PAIRS]
-    )
-
-
-def _guarded() -> tuple[float, list]:
-    store = _fresh_store()
-    return _timed(
-        lambda: run_store_cells(
-            store, edge_ratio_cell, PAIRS, jobs=1, config=AlignConfig()
-        )
-    )
+    bare = guarded = float("inf")
+    for _ in range(PROBE_REPEATS):
+        bare = min(bare, _bare(None, _noop_cell, items, config)[0])
+        guarded = min(guarded, _guarded(None, _noop_cell, items, config)[0])
+    return (guarded - bare) / PROBE_ITEMS
 
 
 def test_retry_overhead_gate(results_dir):
-    """Hooks + retry plumbing cost ≤ 5 % on the fault-free serial path."""
+    """Hooks + retry plumbing cost ≤ 5 % of a real cell on the
+    fault-free serial path."""
     assert active_plan() is None, "a fault plan leaked into the bench"
 
-    bare_seconds, bare_rows = _bare()
-    guarded_seconds, guarded_rows = _guarded()
-
+    config = AlignConfig()
+    bare_seconds, bare_rows = _bare(_fresh_store(), edge_ratio_cell, PAIRS, config)
+    guarded_seconds, guarded_rows = _guarded(
+        _fresh_store(), edge_ratio_cell, PAIRS, config
+    )
     # Correctness before speed: the harnessed runner returns exactly the
     # bare loop's numbers.
     assert json.dumps(guarded_rows, sort_keys=True) == json.dumps(
         bare_rows, sort_keys=True
     )
 
-    overhead = guarded_seconds / bare_seconds - 1.0
-    if overhead > MAX_OVERHEAD:
-        # One noisy measurement should not go red: best-of-3 re-measure.
-        for _ in range(2):
-            bare_seconds = min(bare_seconds, _bare()[0])
-            guarded_seconds = min(guarded_seconds, _guarded()[0])
-        overhead = guarded_seconds / bare_seconds - 1.0
+    cell_seconds = bare_seconds / len(PAIRS)
+    harness_seconds = _harness_cost_per_cell()
+    overhead = harness_seconds / cell_seconds
 
     report = "\n".join(
         [
@@ -99,8 +113,13 @@ def test_retry_overhead_gate(results_dir):
             f"{'path':>28} {'seconds':>9}",
             f"{'bare cell loop':>28} {bare_seconds:>9.3f}",
             f"{'run_store_cells (hooks on)':>28} {guarded_seconds:>9.3f}",
+            "(report-only: the two runs differ by noise, not harness cost)",
             "",
-            f"overhead: {overhead * 100:+.2f}% (gate: <= {MAX_OVERHEAD:.0%})",
+            f"real cell: {cell_seconds * 1e3:.2f} ms; harness: "
+            f"{harness_seconds * 1e6:+.3f} µs/cell (no-op cell, "
+            f"{PROBE_ITEMS} items, min of {PROBE_REPEATS})",
+            f"overhead: {overhead * 100:+.4f}% of a real cell "
+            f"(gate: <= {MAX_OVERHEAD:.0%})",
         ]
     ) + "\n"
     (results_dir / "robustness_overhead.txt").write_text(
@@ -110,13 +129,14 @@ def test_retry_overhead_gate(results_dir):
     print(report)
 
     record_bench(
-        "robustness/retry_overhead",
-        guarded_seconds,
-        speedup=bare_seconds / guarded_seconds,
-        baseline_seconds=bare_seconds,
+        "robustness/retry_overhead", harness_seconds,
+        baseline_seconds=cell_seconds,
     )
+    record_bench("robustness/efo_matrix_bare", bare_seconds)
+    record_bench("robustness/efo_matrix_harnessed", guarded_seconds)
 
     assert overhead <= MAX_OVERHEAD, (
-        f"clean-path robustness overhead is {overhead * 100:.2f}%, above "
+        f"the serial runner adds {harness_seconds * 1e6:.3f} µs per cell, "
+        f"{overhead * 100:.2f}% of a {cell_seconds * 1e3:.2f} ms cell, above "
         f"the {MAX_OVERHEAD:.0%} gate"
     )

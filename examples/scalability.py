@@ -1,8 +1,9 @@
 """Scalability: alignment running time against input size (Figure 16 scenario).
 
 Generates growing DBpedia-category-like graphs and times the three main
-methods on each consecutive pair, then prints the time-per-triple so the
-roughly-linear trend is visible.  Pass a larger scale to stress it.
+methods on each consecutive pair — the same cell Figure 16 runs — then
+prints the time-per-triple so the roughly-linear trend is visible.  Pass
+a larger scale to stress it.
 
 Run with::
 
@@ -10,21 +11,21 @@ Run with::
 
 where *engine* is ``reference`` (default) or ``dense`` — the flat-array
 refinement engine documented in docs/performance.md — and *jobs* shards
-the version pairs over that many worker processes (``0`` = one per CPU).
-With ``jobs > 1`` the whole run finishes faster while the per-pair times
-are still measured inside their worker; under CPU contention they can
-read slightly high, so keep ``jobs = 1`` for clean per-pair numbers.
+the version pairs over that many worker processes (``0`` = one per CPU)
+when the pairs are big enough to pay for a pool.  With ``jobs > 1`` the
+whole run finishes faster while the per-pair times are still measured
+inside their worker; under CPU contention they can read slightly high,
+so keep ``jobs = 1`` for clean per-pair numbers.
 """
 
 import sys
 import time
 
-from repro.core import hybrid_partition, trivial_partition
-from repro.evaluation import StopwatchSeries, render_table
-from repro.experiments.parallel import run_sharded
+from repro.align import AlignConfig
+from repro.evaluation import render_table
+from repro.experiments.cells import method_timings_cell
+from repro.experiments.parallel import run_store_cells
 from repro.experiments.store import VersionStore
-from repro.partition import ColorInterner
-from repro.similarity import overlap_partition
 
 
 def main(scale: float = 1.0, engine: str = "reference", jobs: int = 1) -> None:
@@ -34,45 +35,25 @@ def main(scale: float = 1.0, engine: str = "reference", jobs: int = 1) -> None:
     print(f"{len(graphs)} versions, "
           f"{graphs[0].num_nodes} → {graphs[-1].num_nodes} nodes\n")
 
-    def time_pair(index: int) -> list:
-        union = store.union(index, index + 1)
-        triples = union.num_edges
-        stopwatch = StopwatchSeries()
-        interner = ColorInterner()
-        stopwatch.measure(
-            "trivial",
-            index,
-            lambda: trivial_partition(union, interner, engine=engine),
-        )
-        hybrid_interner = ColorInterner()
-        hybrid = stopwatch.measure(
-            "hybrid",
-            index,
-            lambda: hybrid_partition(union, hybrid_interner, engine=engine),
-        )
-        stopwatch.measure(
-            "overlap",
-            index,
-            lambda: overlap_partition(
-                union, interner=hybrid_interner, base=hybrid, engine=engine
-            ),
-        )
-        overlap_seconds = stopwatch.get("overlap", index)
-        return [
-            f"v{index + 1}->v{index + 2}",
-            triples,
-            round(stopwatch.get("trivial", index), 4),
-            round(stopwatch.get("hybrid", index), 4),
-            round(overlap_seconds, 4),
-            round(1e6 * overlap_seconds / triples, 2),
-        ]
-
     started = time.perf_counter()
-    rows = run_sharded(time_pair, range(len(graphs) - 1), jobs=jobs)
+    rows = run_store_cells(
+        store, method_timings_cell, range(len(graphs) - 1),
+        jobs=jobs, config=AlignConfig(engine=engine),
+    )
     elapsed = time.perf_counter() - started
     print(render_table(
         ["pair", "triples", "trivial (s)", "hybrid (s)", "overlap (s)", "overlap µs/triple"],
-        rows,
+        [
+            [
+                row["pair"],
+                row["triples"],
+                row["trivial_s"],
+                row["hybrid_s"],
+                row["overlap_s"],
+                round(1e6 * row["overlap_s"] / row["triples"], 2),
+            ]
+            for row in rows
+        ],
     ))
     print(f"\nwall-clock for all pairs: {elapsed:.2f}s (jobs={jobs})")
     print("The µs/triple column staying roughly flat is the paper's "

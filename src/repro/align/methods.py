@@ -168,31 +168,27 @@ def _signature_family(
     """Shared runner body of ``kbisim``/``kbisim_deblank``.
 
     ``config.jobs != 1`` routes signature hashing through the per-node
-    shm shard pool when the platform supports it; the pooled and serial
-    paths are byte-identical by construction (same payloads, same hash,
-    same interning order), so jobs never affects the result.
+    shm shard pool, which runs serially where the platform (or a pool
+    worker) cannot host it; the pooled and serial paths are
+    byte-identical by construction (same payloads, same hash, same
+    interning order), so jobs never affects the result.
     """
     interner = ColorInterner()
     stats = SignatureStats()
-    partition: Partition | None = None
     if config.jobs != 1:
-        from ..experiments.ksig_shard import (
-            pooled_available,
-            pooled_ksignature_partition,
-        )
+        from ..experiments.ksig_shard import pooled_ksignature_partition
 
-        if pooled_available():
-            partition = pooled_ksignature_partition(
-                graph,
-                interner,
-                k=config.k,
-                engine=config.engine,
-                subset=subset,
-                csr=context.csr,
-                stats=stats,
-                jobs=config.jobs,
-            )
-    if partition is None:
+        partition = pooled_ksignature_partition(
+            graph,
+            interner,
+            k=config.k,
+            engine=config.engine,
+            subset=subset,
+            csr=context.csr,
+            stats=stats,
+            jobs=config.jobs,
+        )
+    else:
         partition = ksignature_partition(
             graph,
             interner,

@@ -1,16 +1,24 @@
-"""Pool-boundary picklability: what may cross into a worker process.
+"""Pool boundary: one pool, and only picklable callables cross into it.
 
-The shared-memory pool of PR 7 ships its cell callable to the workers
-*by reference* (module + qualified name) — the property that lets the
-pool run under the ``spawn`` start method.  A lambda, a closure, or a
-locally-defined function pickles either not at all (spawn) or by value
-capturing parent state (fork), and the failure only shows up minutes
-into a pooled run on the one platform whose default start method
-differs.  This rule pins the contract at the call site: anything
-submitted to ``run_store_cells`` / ``run_sharded`` /
-``SharedStorePool.map{,_partial}`` / executor ``submit`` must resolve
-to a module-level callable (the :mod:`repro.experiments.cells` idiom),
-and nothing in ``initargs=`` may be a lambda.
+Two rules guard the repo's single process pool
+(:class:`repro.experiments.parallel.SharedStorePool`):
+
+* ``pool-callable`` — the pool ships its cell callable to the workers
+  *by reference* (module + qualified name), the property that lets it
+  run under the ``spawn`` start method.  A lambda, a closure, or a
+  locally-defined function pickles either not at all (spawn) or by
+  value capturing parent state (fork), and the failure only shows up
+  minutes into a pooled run on the one platform whose default start
+  method differs.  The rule pins the contract at the call site:
+  anything submitted to ``run_store_cells`` /
+  ``SharedStorePool.map{,_partial}`` / executor ``submit`` must resolve
+  to a module-level callable (the :mod:`repro.experiments.cells`
+  idiom), and nothing in ``initargs=`` may be a lambda.
+* ``private-pool`` — a ``ProcessPoolExecutor(...)`` or
+  ``multiprocessing.Pool(...)`` built anywhere but
+  ``repro/experiments/parallel.py`` is a second executor: it misses the
+  pool's retry, serial degradation, fault hooks, ``spawn`` support and
+  kill-on-interrupt, which is how three pool mechanisms once grew.
 """
 
 from __future__ import annotations
@@ -21,10 +29,7 @@ from typing import Iterator
 from ..framework import Checker, Finding, ModuleInfo, register_checker
 from ._util import call_name, module_level_callables, walk_with_parents
 
-#: ``call name -> index of the callable argument``.  ``run_sharded`` is
-#: deliberately absent: it is the legacy fork-only path, and closures
-#: are picklable-by-value under fork — only the shm pool (which must
-#: also run under spawn) carries the by-reference contract.
+#: ``call name -> index of the callable argument``.
 _POOL_ENTRYPOINTS = {
     "run_store_cells": 1,
 }
@@ -127,3 +132,66 @@ class PoolCallableChecker(Checker):
                 "pool callables must be module-level (picklable by "
                 "reference under spawn)",
             )
+
+
+#: The one module allowed to build a process pool.
+_POOL_MODULE = "repro/experiments/parallel.py"
+
+
+def _multiprocessing_bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """``(module aliases, Pool aliases)`` bound by multiprocessing imports."""
+    modules: set[str] = set()
+    pools: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "multiprocessing":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module or ""
+        ).startswith("multiprocessing"):
+            for alias in node.names:
+                if alias.name == "Pool":
+                    pools.add(alias.asname or alias.name)
+    return modules, pools
+
+
+@register_checker
+class PrivatePoolChecker(Checker):
+    rule = "private-pool"
+    description = (
+        "process pools (ProcessPoolExecutor, multiprocessing.Pool) are "
+        "built only in repro/experiments/parallel.py; run parallel work "
+        "through SharedStorePool / run_store_cells"
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return not path.endswith(_POOL_MODULE)
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        modules, pools = _multiprocessing_bindings(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if call_name(node).split(".")[-1] == "ProcessPoolExecutor":
+                builds = True
+            elif isinstance(func, ast.Attribute) and func.attr == "Pool":
+                receiver = func.value
+                builds = (
+                    isinstance(receiver, ast.Name) and receiver.id in modules
+                ) or (
+                    isinstance(receiver, ast.Call)
+                    and call_name(receiver).endswith("get_context")
+                )
+            else:
+                builds = isinstance(func, ast.Name) and func.id in pools
+            if builds:
+                yield self.finding(
+                    module,
+                    node,
+                    "a second process pool; run parallel work through "
+                    "SharedStorePool / run_store_cells "
+                    "(repro/experiments/parallel.py) so it gets retry, "
+                    "degradation, fault hooks and spawn support",
+                )

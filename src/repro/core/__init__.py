@@ -38,7 +38,6 @@ from .refinement import (
     recolor_key,
     refinement_trace,
 )
-from .sharded import shard_of, sharded_refine_fixpoint
 from .trivial import trivial_partition
 
 __all__ = [
@@ -71,7 +70,5 @@ __all__ = [
     "refine_colors",
     "refinement_trace",
     "resolve_refine_engine",
-    "shard_of",
-    "sharded_refine_fixpoint",
     "trivial_partition",
 ]

@@ -51,37 +51,23 @@ def pairwise_matrix(
     graphs: Sequence[RDFGraph],
     cell: CellFunction,
     symmetric_fill: bool = False,
-    jobs: int = 1,
 ) -> VersionMatrix:
     """Evaluate *cell* on every version pair.
 
     ``symmetric_fill=True`` computes only ``source ≤ target`` and mirrors
     the value — a time saver for measures that are symmetric by definition.
     Self-alignments combine a version with an identical copy of itself
-    (the side tagging keeps the two occurrences disjoint).
-
-    ``jobs`` shards the cells over that many worker processes (see
-    :mod:`repro.experiments.parallel`); the merge order is deterministic,
-    so the resulting matrix is identical to a serial run.  *cell* must
-    then be a pure function of its union (it runs in a forked worker).
+    (the side tagging keeps the two occurrences disjoint).  The figures
+    run their grids over a shared store instead (see
+    :mod:`repro.experiments.cells`).
     """
     size = len(graphs)
     matrix = VersionMatrix(size=size)
-    pairs = [
-        (source, target)
-        for source in range(size)
-        for target in range(size)
-        if not (symmetric_fill and source > target)
-    ]
-
-    def compute(pair: tuple[int, int]) -> float:
-        source, target = pair
-        return cell(combine(graphs[source], graphs[target]))
-
-    from ..experiments.parallel import run_sharded
-
-    for pair, value in zip(pairs, run_sharded(compute, pairs, jobs=jobs)):
-        matrix[pair] = value
+    for source in range(size):
+        for target in range(size):
+            if symmetric_fill and source > target:
+                continue
+            matrix[(source, target)] = cell(combine(graphs[source], graphs[target]))
     if symmetric_fill:
         for source in range(size):
             for target in range(source):

@@ -11,7 +11,6 @@ from . import (
     figure16,
 )
 from .base import ExperimentResult, assert_shape
-from .parallel import run_sharded
 from .runner import EXPERIMENTS, experiment_module, run_experiments
 from .store import VersionStore
 
@@ -30,5 +29,4 @@ __all__ = [
     "figure15",
     "figure16",
     "run_experiments",
-    "run_sharded",
 ]

@@ -10,10 +10,10 @@ steadily instead).
 from __future__ import annotations
 
 from ..align.config import AlignConfig
-from ..core.bisimulation import bisimulation_partition
 from ..evaluation.reporting import render_table
 from .base import ExperimentResult
-from .parallel import run_sharded
+from .cells import version_kinds_cell
+from .parallel import run_store_cells
 from .store import VersionStore
 
 FIGURE = "Figure 9"
@@ -25,26 +25,10 @@ def run(
 ) -> ExperimentResult:
     store = VersionStore.shared("efo", scale=scale, seed=seed, versions=versions)
     store.prepare()
-
-    def version_row(index: int) -> dict:
-        graph = store.graph(index)
-        stats = graph.stats()
-        # Normalized blanks: distinct bisimulation classes of blank nodes
-        # (the paper's de-duplicated count, which grows steadily).
-        partition = bisimulation_partition(graph)
-        normalized_blanks = len({partition[node] for node in graph.blanks()})
-        return {
-            "version": index + 1,
-            "edges": stats.num_edges,
-            "literals": stats.num_literals,
-            "uris": stats.num_uris,
-            "blanks": stats.num_blanks,
-            "normalized_blanks": normalized_blanks,
-            "literal_fraction": round(stats.num_literals / stats.num_nodes, 3),
-            "blank_fraction": round(stats.num_blanks / stats.num_nodes, 3),
-        }
-
-    rows = run_sharded(version_row, range(versions), jobs=(config.jobs if config else 1))
+    rows = run_store_cells(
+        store, version_kinds_cell, range(versions),
+        jobs=(config.jobs if config else 1), config=config,
+    )
     rendered = render_table(
         [
             "version",

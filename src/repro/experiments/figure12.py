@@ -10,7 +10,8 @@ from __future__ import annotations
 from ..align.config import AlignConfig
 from ..evaluation.reporting import render_table
 from .base import ExperimentResult
-from .parallel import run_sharded
+from .cells import version_counts_cell
+from .parallel import run_store_cells
 from .store import VersionStore
 
 FIGURE = "Figure 12"
@@ -22,18 +23,10 @@ def run(
 ) -> ExperimentResult:
     store = VersionStore.shared("gtopdb", scale=scale, seed=seed, versions=versions)
     store.prepare()
-
-    def version_row(index: int) -> dict:
-        stats = store.graph(index).stats()
-        return {
-            "version": index + 1,
-            "edges": stats.num_edges,
-            "uris": stats.num_uris,
-            "literals": stats.num_literals,
-            "blanks": stats.num_blanks,
-        }
-
-    rows = run_sharded(version_row, range(versions), jobs=(config.jobs if config else 1))
+    rows = run_store_cells(
+        store, version_counts_cell, range(versions),
+        jobs=(config.jobs if config else 1), config=config,
+    )
     rendered = render_table(
         ["version", "edges", "uris", "literals", "blanks"],
         [

@@ -11,10 +11,10 @@ nodes.
 from __future__ import annotations
 
 from ..align.config import AlignConfig
-from ..evaluation.precision import precision_counts
 from ..evaluation.reporting import render_stacked_fractions
 from .base import ExperimentResult
-from .parallel import run_sharded
+from .cells import precision_rows_cell
+from .parallel import run_store_cells
 from .store import VersionStore
 
 FIGURE = "Figure 14"
@@ -32,25 +32,18 @@ def run(
     config = config or AlignConfig()
     store = VersionStore.shared("gtopdb", scale=scale, seed=seed, versions=versions)
     store.prepare(summaries=True, csr=config.engine == "dense")
+    # Ground truth is generator-derived, not part of a published store:
+    # warm it here so pool workers find it in the shared manifest.
+    for index in range(versions - 1):
+        store.ground_truth(index, index + 1)
 
-    def pair_rows(index: int) -> list[dict]:
-        # Union, hybrid and overlap come from the shared store: a serial
-        # run after Figure 13 at the same configuration reuses its cells.
-        context = store.cell_context(index, index + 1, config)
-        weighted, _ = store.overlap_result(index, index + 1, config)
-        truth = store.ground_truth(index, index + 1)
-        hybrid_counts = precision_counts(context.union, context.hybrid, truth)
-        overlap_counts = precision_counts(context.union, weighted.partition, truth)
-        pair = f"{index + 1}->{index + 2}"
-        return [
-            {"pair": pair, "method": "hybrid", **hybrid_counts.as_dict()},
-            {"pair": pair, "method": "overlap", **overlap_counts.as_dict()},
-        ]
-
+    # Union, hybrid and overlap come from the shared store: a serial run
+    # after Figure 13 at the same configuration reuses its cells.
     rows = [
         row
-        for rows_of_pair in run_sharded(
-            pair_rows, range(versions - 1), jobs=config.jobs
+        for rows_of_pair in run_store_cells(
+            store, precision_rows_cell, range(versions - 1),
+            jobs=config.jobs, config=config,
         )
         for row in rows_of_pair
     ]

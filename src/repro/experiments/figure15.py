@@ -9,10 +9,10 @@ pair (versions 3→4) and finds the exact matches peak at θ = 0.65.
 from __future__ import annotations
 
 from ..align.config import AlignConfig
-from ..evaluation.precision import precision_counts
 from ..evaluation.reporting import render_stacked_fractions
 from .base import ExperimentResult
-from .parallel import run_sharded
+from .cells import theta_precision_cell
+from .parallel import run_store_cells
 from .store import VersionStore
 
 FIGURE = "Figure 15"
@@ -37,18 +37,16 @@ def run(
     config = (config or AlignConfig()).evolve(probe=probe)
     store = VersionStore.shared("gtopdb", scale=scale, seed=seed, versions=versions)
     pair = (source_version - 1, source_version)
-    # The hybrid base is theta-independent: build it once in the parent so
-    # every worker inherits it; each theta then clones the interner.
     store.prepare(versions=pair, summaries=True, csr=config.engine == "dense")
-    store.cell_context(*pair, config)
-    truth = store.ground_truth(*pair)
-
-    def theta_row(theta: float) -> dict:
-        weighted, _ = store.overlap_result(*pair, config.evolve(theta=theta))
-        counts = precision_counts(store.union(*pair), weighted.partition, truth)
-        return {"theta": theta, **counts.as_dict()}
-
-    rows = run_sharded(theta_row, thetas, jobs=config.jobs)
+    # Ground truth is generator-derived, not part of a published store:
+    # warm it here so pool workers find it in the shared manifest.  The
+    # hybrid base is theta-independent and memoized per process; each
+    # theta clones its interner.
+    store.ground_truth(*pair)
+    rows = run_store_cells(
+        store, theta_precision_cell, [(*pair, theta) for theta in thetas],
+        jobs=config.jobs, config=config,
+    )
     bars = [
         (
             f"θ={row['theta']:.2f}",

@@ -9,14 +9,10 @@ overlapping nodes), concluding the methods scale.
 from __future__ import annotations
 
 from ..align.config import AlignConfig
-from ..core.hybrid import hybrid_partition
-from ..core.trivial import trivial_partition
 from ..evaluation.reporting import render_table
-from ..evaluation.timing import StopwatchSeries
-from ..partition.interner import ColorInterner
-from ..similarity.overlap_alignment import overlap_partition
 from .base import ExperimentResult
-from .parallel import run_sharded
+from .cells import method_timings_cell
+from .parallel import run_store_cells
 from .store import VersionStore
 
 FIGURE = "Figure 16"
@@ -30,47 +26,12 @@ def run(
     config: AlignConfig | None = None,
 ) -> ExperimentResult:
     config = config or AlignConfig()
-    theta, engine = config.theta, config.engine
     store = VersionStore.shared("dbpedia", scale=scale, seed=seed, versions=versions)
     store.prepare()
-
-    def pair_row(index: int) -> dict:
-        # Each cell times the *methods* in-process (union construction is
-        # excluded, as before); with jobs > 1 the cells themselves run
-        # concurrently, so per-cell times can inflate under CPU contention
-        # while the wall-clock of the whole figure drops.
-        union = store.union(index, index + 1)
-        stats = union.stats()
-        stopwatch = StopwatchSeries()
-        trivial_interner = ColorInterner()
-        stopwatch.measure(
-            "trivial",
-            index + 1,
-            lambda: trivial_partition(union, trivial_interner, engine=engine),
-        )
-        hybrid_interner = ColorInterner()
-        hybrid = stopwatch.measure(
-            "hybrid",
-            index + 1,
-            lambda: hybrid_partition(union, hybrid_interner, engine=engine),
-        )
-        stopwatch.measure(
-            "overlap",
-            index + 1,
-            lambda: overlap_partition(
-                union, theta=theta, interner=hybrid_interner, base=hybrid
-            ),
-        )
-        return {
-            "pair": f"{index + 1}->{index + 2}",
-            "nodes": stats.num_nodes,
-            "triples": stats.num_edges,
-            "trivial_s": round(stopwatch.get("trivial", index + 1), 4),
-            "hybrid_s": round(stopwatch.get("hybrid", index + 1), 4),
-            "overlap_s": round(stopwatch.get("overlap", index + 1), 4),
-        }
-
-    rows = run_sharded(pair_row, range(versions - 1), jobs=config.jobs)
+    rows = run_store_cells(
+        store, method_timings_cell, range(versions - 1),
+        jobs=config.jobs, config=config,
+    )
     rendered = render_table(
         ["pair", "nodes", "triples", "Trivial (s)", "Hybrid (s)", "Overlap (s)"],
         [
@@ -93,8 +54,8 @@ def run(
             "scale": scale,
             "seed": seed,
             "versions": versions,
-            "theta": theta,
-            "engine": engine,
+            "theta": config.theta,
+            "engine": config.engine,
         },
         rows=rows,
         rendered=rendered,

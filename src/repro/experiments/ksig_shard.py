@@ -1,29 +1,22 @@
 """Per-node shared-memory sharding of k-signature refinement rounds.
 
-The experiment pool (:mod:`repro.experiments.parallel`) shards *cells* —
-whole alignment runs — across workers.  The k-bisimulation family
-(:mod:`repro.core.ksignature`) parallelizes one level deeper: within a
-single run, each round's per-node signatures depend only on the previous
-round's color buffer, so the subset is split into contiguous *node
-shards* and every worker hashes its slice independently (the
+Figure cells shard *whole alignment runs* across workers.  The
+k-bisimulation family (:mod:`repro.core.ksignature`) parallelizes one
+level deeper: each round's per-node signatures depend only on the
+previous round's color buffer, so the subset is split into contiguous
+*node shards* and every worker hashes its slice independently (the
 embarrassingly parallel shape of Rau et al.).
 
-The protocol mirrors the store pool's shared-memory contract:
-
-* the parent publishes the immutable subset-restricted CSR arrays
-  (subset ids, offsets, predicates, objects) into named segments
-  **once**, plus one writable ``colors`` segment it refreshes before
-  each round's fan-out;
-* workers attach by name at pool start (zero-copy ``numpy`` views when
-  numpy is importable, ``array("q")`` copies otherwise) and re-read the
-  live colors view every invocation — only ``(lo, hi)`` bounds and the
-  resulting ``(signatures, digests)`` bytes ever cross the process
-  boundary;
-* shard results are merged in shard order, which is subset order, so the
-  pooled signature stream is byte-identical to the serial one and the
-  interned colors — and hence the partition — are byte-identical for
-  every ``jobs`` value.  The differential oracle's ``kbisim`` axis pins
-  this.
+The run goes through the repo's one pool,
+:class:`~repro.experiments.parallel.SharedStorePool`, with a
+:class:`SignatureShards` as its published state: the subset-restricted
+CSR arrays, published once, plus one writable colors segment the parent
+refreshes before each round.  :func:`signature_shard_cell` is mapped
+once per round; only ``(lo, hi)`` bounds and the resulting
+``(signatures, digests)`` bytes cross the process boundary.  Shard
+results merge in subset order, so the interned colors — and hence the
+partition — are byte-identical for every ``jobs`` value (the
+differential oracle's ``kbisim`` axis pins this).
 
 Any pool failure (start failure, crashed worker, platform without
 shared memory) falls back to the serial driver and recomputes from the
@@ -32,10 +25,8 @@ initial colors — same interner, same keys, same result.
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Collection
+from typing import Any, Collection, Sequence
 
 from ..core.ksignature import (
     SignatureStats,
@@ -44,15 +35,13 @@ from ..core.ksignature import (
     prepare_signature_run,
     shard_signatures,
 )
+from ..exceptions import ExperimentError, TransientError
 from ..model.csr import CSRGraph
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition
 from ..partition.interner import ColorInterner
-from .parallel import fork_available, in_worker, mark_worker, usable_cpus
-from .shm import ShmRegistry, attach_bytes, attach_segment, shm_available
-
-#: Attached shard state of one worker process (set by the initializer).
-_WORKER_STATE: dict[str, Any] | None = None
+from .parallel import SharedStorePool, in_worker, usable_cpus
+from .shm import attach_index_array, attach_segment, shm_available
 
 
 def pooled_available() -> bool:
@@ -65,54 +54,66 @@ def pooled_available() -> bool:
     return shm_available() and not in_worker()
 
 
-def _attach_int64(manifest: dict, keepalive: list) -> Any:
-    """A published int64 array as a numpy view, or an ``array`` copy."""
-    try:
-        from .shm import attach_index_array
+class SignatureShards:
+    """The published state of one pooled k-signature run.
 
-        return attach_index_array(manifest, keepalive)
-    except ImportError:  # pragma: no cover - numpy-less platforms
-        return array("q", attach_bytes(manifest))
+    *arrays* are the subset-restricted CSR arrays ``(subset_ids,
+    offsets, predicates, objects)``.  Parent side,
+    :meth:`publish_shared` copies them and the current colors into
+    segments, the colors into a writable one that :meth:`set_colors`
+    refreshes before every round; worker side, :meth:`from_manifest`
+    rebuilds the state over zero-copy read-only views of the same
+    segments.
+    """
 
+    def __init__(self, engine: str, arrays: Sequence[Any], colors: Any) -> None:
+        self.engine = engine
+        self.arrays = tuple(arrays)
+        self.colors = colors
+        #: Parent side: the writable colors segment of the live pool.
+        self._colors_segment: Any = None
 
-def _colors_view(segment: Any, count: int) -> Any:
-    """A live int64 view over the parent-refreshed colors segment."""
-    try:  # pragma: no cover - numpy-less branch exercised on bare CI
+    def set_colors(self, colors: list[int]) -> None:
+        """Make *colors* the round's input, in the published segment too."""
+        self.colors = colors
+        if self._colors_segment is not None:
+            self._colors_segment.buf[: len(colors) * 8] = array("q", colors).tobytes()
+
+    def publish_shared(self, registry) -> dict:
+        """Publish the arrays and the current colors into *registry*."""
+        count = len(self.colors)
+        self._colors_segment = registry.create(max(1, count * 8))
+        self.set_colors(self.colors)
+        return {
+            "engine": self.engine,
+            "arrays": [registry.publish_array(buffer) for buffer in self.arrays],
+            "colors": {"name": self._colors_segment.name, "count": count},
+        }
+
+    @classmethod
+    def from_manifest(cls, manifest: dict) -> "SignatureShards":
+        """Attach a published run inside a pool worker (fork or spawn)."""
         import numpy
-    except ImportError:
-        return memoryview(segment.buf)[: count * 8].cast("q")
-    view = numpy.frombuffer(segment.buf, dtype=numpy.int64, count=count)
-    view.flags.writeable = False
-    return view
+
+        keepalive: list = []
+        arrays = [attach_index_array(entry, keepalive) for entry in manifest["arrays"]]
+        segment = attach_segment(manifest["colors"])
+        keepalive.append(segment)
+        colors = numpy.frombuffer(
+            segment.buf, dtype=numpy.int64, count=manifest["colors"]["count"]
+        )
+        colors.flags.writeable = False
+        shards = cls(manifest["engine"], arrays, colors)
+        shards._shm_keepalive = keepalive  # pins the views' segments
+        return shards
 
 
-def _shard_init(manifest: dict) -> None:
-    """Worker initializer: attach every published segment by name."""
-    global _WORKER_STATE
-    mark_worker()
-    keepalive: list = []
-    state: dict[str, Any] = {"keepalive": keepalive, "engine": manifest["engine"]}
-    for key in ("subset_ids", "sub_offsets", "sub_predicates", "sub_objects"):
-        state[key] = _attach_int64(manifest[key], keepalive)
-    segment = attach_segment(manifest["colors"])
-    keepalive.append(segment)
-    state["colors"] = _colors_view(segment, manifest["colors"]["count"])
-    _WORKER_STATE = state
-
-
-def _shard_invoke(lo: int, hi: int) -> tuple[bytes, bytes]:
-    """Hash one contiguous shard against the current colors segment."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _shard_init ran"
+def signature_shard_cell(
+    shards: SignatureShards, config, bounds: tuple[int, int]
+) -> tuple[bytes, bytes]:
+    """Hash one contiguous ``[lo, hi)`` shard against the current colors."""
     sigs, digests = shard_signatures(
-        state["colors"],
-        state["subset_ids"],
-        state["sub_offsets"],
-        state["sub_predicates"],
-        state["sub_objects"],
-        lo,
-        hi,
-        engine=state["engine"],
+        shards.colors, *shards.arrays, *bounds, engine=shards.engine
     )
     return sigs.tobytes(), digests
 
@@ -157,25 +158,22 @@ def pooled_ksignature_partition(
     workers = usable_cpus() if jobs == 0 else jobs
     workers = min(workers, len(subset_ids)) if subset_ids else 1
 
-    rounds = 0
-    converged = False
-    classes = len(set(colors))
-    done = False
-    if workers > 1:
+    outcome = None
+    if workers > 1 and pooled_available():
         try:
-            out = _run_pooled(
+            outcome = _run_pooled(
                 csr, colors, subset_ids, k, interner, engine, stats, workers
             )
-            final_colors, rounds, converged, classes = out
-            done = True
-        except (OSError, RuntimeError, ValueError):
-            # Pool start failure, worker crash (BrokenProcessPool is a
-            # RuntimeError) or segment trouble: degrade to serial.
+        except (TransientError, ExperimentError, OSError, RuntimeError,
+                ValueError):
+            # Pool start failure, crashed worker, segment trouble or a
+            # missing numpy in the workers: degrade to serial.
             stats.class_counts.clear()
-    if not done:
-        final_colors, rounds, converged, classes = ksignature_colors(
+    if outcome is None:
+        outcome = ksignature_colors(
             csr, colors, subset_ids, k, interner, engine=engine, stats=stats
         )
+    final_colors, rounds, converged, classes = outcome
     stats.rounds = rounds
     stats.converged = converged
     stats.final_classes = classes
@@ -194,45 +192,23 @@ def _run_pooled(
     stats: SignatureStats,
     workers: int,
 ) -> tuple[list[int], int, bool, int]:
-    """One pooled run: publish segments, fan rounds out, merge in order."""
-    sub_offsets, sub_predicates, sub_objects = csr.subgraph_pairs(subset_ids)
-    count = len(colors)
-    shards = _shard_bounds(len(subset_ids), workers)
-    start_method = "fork" if fork_available() else "spawn"
-    context = multiprocessing.get_context(start_method)
+    """One pooled run: publish the shards, map the cell per round, merge."""
+    shards = SignatureShards(
+        engine, (array("q", subset_ids), *csr.subgraph_pairs(subset_ids)),
+        list(colors),
+    )
+    bounds = _shard_bounds(len(subset_ids), workers)
+    with SharedStorePool(shards, jobs=len(bounds)) as pool:
 
-    with ShmRegistry() as registry:
-        manifest = {
-            "engine": engine,
-            "subset_ids": registry.publish_array(array("q", subset_ids)),
-            "sub_offsets": registry.publish_array(sub_offsets),
-            "sub_predicates": registry.publish_array(sub_predicates),
-            "sub_objects": registry.publish_array(sub_objects),
-        }
-        segment = registry.create(max(1, count * 8))
-        manifest["colors"] = {"name": segment.name, "count": count}
-        pool = ProcessPoolExecutor(
-            max_workers=len(shards),
-            mp_context=context,
-            initializer=_shard_init,
-            initargs=(manifest,),
+        def batch(current: list[int]) -> tuple[array, bytes]:
+            shards.set_colors(current)
+            sigs = array("q")
+            digests = bytearray()
+            for sig_bytes, digest_bytes in pool.map(signature_shard_cell, bounds):
+                sigs.frombytes(sig_bytes)
+                digests += digest_bytes
+            return sigs, bytes(digests)
+
+        return ksignature_rounds(
+            list(colors), subset_ids, batch, k, interner, stats=stats
         )
-        try:
-            def batch(current: list[int]) -> tuple[array, bytes]:
-                segment.buf[: count * 8] = array("q", current).tobytes()
-                futures = [
-                    pool.submit(_shard_invoke, lo, hi) for lo, hi in shards
-                ]
-                sigs = array("q")
-                digests = bytearray()
-                for future in futures:
-                    sig_bytes, digest_bytes = future.result()
-                    sigs.frombytes(sig_bytes)
-                    digests += digest_bytes
-                return sigs, bytes(digests)
-
-            return ksignature_rounds(
-                list(colors), subset_ids, batch, k, interner, stats=stats
-            )
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)

@@ -1,25 +1,31 @@
-"""Process-pool sharding of independent experiment cells.
+"""The one process pool: every parallel call in the repo runs through it.
 
 The paper's evaluation (Figures 9–16) is dominated by *matrices* of
-alignment runs: every cell of a version-pair grid is an independent
-computation over immutable per-version artifacts.  Two execution paths
-fan such cells out over worker processes, both merging results in
-deterministic (submission) order so ``jobs=4`` produces byte-identical
-reports to ``jobs=1``:
+alignment runs, and a k-bisimulation run splits each signature round
+per node; both are independent work over immutable, prepared state.
+:class:`SharedStorePool` is the single executor that fans such work out
+over worker processes:
 
-* :func:`run_sharded` — the legacy copy-on-write path: a fork-based pool
-  created per call, workers inheriting the parent's prepared artifacts.
-  Kept for callables that close over arbitrary state; fork-only.
-* :class:`SharedStorePool` / :func:`run_store_cells` — the
-  shared-memory path.  The parent publishes a
-  :class:`~repro.experiments.store.VersionStore`'s artifacts into named
-  ``multiprocessing.shared_memory`` segments **once**
-  (:meth:`VersionStore.publish_shared`); a persistent pool of workers
-  attaches by name (CSR index arrays as zero-copy numpy views), so only
-  ``(cell, items_manifest, index)`` ever crosses the process boundary.
-  This works under both ``fork`` and ``spawn`` start methods — segment
-  names are picklable — which is what makes the pool usable on
-  platforms without ``fork``.
+* the parent publishes a *state* object into named
+  ``multiprocessing.shared_memory`` segments **once**.  Any object with
+  a ``publish_shared(registry) -> manifest`` method and a
+  ``from_manifest(manifest)`` classmethod qualifies:
+  :class:`~repro.experiments.store.VersionStore` for figure and oracle
+  cells, :class:`~repro.experiments.ksig_shard.SignatureShards` for
+  signature rounds;
+* a persistent pool of workers rebuilds that state by segment name in
+  its initializer (``type(state).from_manifest(manifest)``; CSR index
+  arrays come back as zero-copy numpy views), so only ``(cell,
+  items_manifest, index)`` ever crosses the process boundary per task;
+* cells are module-level ``(state, config, item)`` functions, pickled
+  by reference (:mod:`repro.experiments.cells`), which is what lets the
+  pool run under the ``spawn`` start method as well as ``fork``;
+* results merge in item order, so ``jobs=4`` produces byte-identical
+  reports to ``jobs=1``.
+
+:func:`run_store_cells` is the scheduling front door for cell grids:
+it adds overhead-aware scheduling, retry and serial degradation on top
+of the pool.
 
 Overhead-aware scheduling
 -------------------------
@@ -40,7 +46,9 @@ The pool owns one :class:`~repro.experiments.shm.ShmRegistry`; its
 ``close()`` (and context-manager exit) first drains the workers, then
 unlinks every published segment — on success, on exception, and after a
 worker crash (a killed worker surfaces as ``BrokenProcessPool`` and the
-``finally`` path still unlinks).  No run leaks ``/dev/shm`` entries.
+``finally`` path still unlinks).  An interrupt (``KeyboardInterrupt`` /
+``SystemExit``) inside the ``with`` block SIGKILLs the workers before
+unlinking.  No run leaks ``/dev/shm`` entries.
 
 Fault tolerance
 ---------------
@@ -50,7 +58,7 @@ transient pool failures (see ``docs/robustness.md``):
 
 * a crashed worker (``BrokenProcessPool``) or a cell exceeding
   ``config.cell_timeout`` abandons the *pool*, not the *run* — completed
-  results are kept, the store is re-published into fresh segments, and
+  results are kept, the state is re-published into fresh segments, and
   only the lost cells are re-submitted, under an exponential-backoff
   budget of ``config.retries`` attempts;
 * when the budget is spent, the run **degrades to serial** in-process
@@ -62,7 +70,9 @@ transient pool failures (see ``docs/robustness.md``):
 * the seeded fault hooks of :mod:`repro.robustness.faults` sit on the
   worker entry (``site="worker.cell"``), the serial loop and autotune
   probe (``"cell.serial"``) and pool construction (``"pool.start"``) —
-  each a single ``is None`` check when injection is disabled.
+  each a single ``is None`` check when injection is disabled.  The
+  worker and pool-start hooks live in :class:`SharedStorePool` itself,
+  so they reach every pooled call, signature shards included.
 """
 
 from __future__ import annotations
@@ -72,24 +82,17 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from ..exceptions import ExperimentError, TransientError, WorkerCrashError
 from ..robustness import faults
 from ..robustness.retry import DegradationEvent, RetryPolicy, record_event
 from .shm import ShmRegistry, attach_pickle, shm_available
 
-Item = TypeVar("Item")
-Result = TypeVar("Result")
-
-#: Captured by the forked workers; only valid while a pool is running.
-_TASK: Callable | None = None
-_ITEMS: Sequence | None = None
-
-#: Set inside workers so nested ``run_sharded`` calls stay serial.
+#: Set inside pool workers so nested pools stay serial.
 _IN_WORKER = False
 
 #: Measured pool start/attach overhead in seconds (``None`` = not yet
@@ -189,7 +192,7 @@ def effective_jobs(
 
 
 def fork_available() -> bool:
-    """Can this platform run the copy-on-write worker pool?"""
+    """Does this platform offer the ``fork`` start method?"""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -198,59 +201,12 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def mark_worker() -> None:
-    """Flag this process as a pool worker (called by worker initializers)."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def _invoke(index: int):
-    global _IN_WORKER
-    _IN_WORKER = True
-    assert _TASK is not None and _ITEMS is not None
-    return _TASK(_ITEMS[index])
-
-
-def run_sharded(
-    task: Callable[[Item], Result],
-    items: Sequence[Item],
-    jobs: int | None = 1,
-) -> list[Result]:
-    """``[task(item) for item in items]``, sharded over *jobs* processes.
-
-    Results are returned in item order regardless of which worker finished
-    first — the deterministic merge that keeps parallel figure reports
-    byte-identical to serial ones.  *task* must be a pure function of its
-    item (plus read-only state prepared before the call) and must return
-    a picklable value; it is executed in forked workers, so in-worker
-    mutations of shared objects are invisible to the parent and to other
-    cells.
-
-    ``jobs=1`` (the default), a single item, platforms without ``fork``
-    and nested calls from inside a worker all use the plain serial loop.
-    """
-    items = list(items)
-    jobs = effective_jobs(jobs, len(items))
-    if jobs <= 1 or _IN_WORKER or not fork_available():
-        return [task(item) for item in items]
-
-    global _TASK, _ITEMS
-    previous = (_TASK, _ITEMS)
-    _TASK, _ITEMS = task, items
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            return list(pool.map(_invoke, range(len(items))))
-    finally:
-        _TASK, _ITEMS = previous
-
-
 # ----------------------------------------------------------------------
 # The shared-memory pool (fork and spawn)
 # ----------------------------------------------------------------------
 
 #: Worker-side state, set once by the pool initializer.
-_WORKER_STORE = None
+_WORKER_STATE = None
 _WORKER_CONFIG = None
 
 #: Which retry attempt this worker's pool belongs to — lets seeded
@@ -262,29 +218,28 @@ _WORKER_ATTEMPT = 0
 _WORKER_ITEMS: dict = {}
 
 
-def _pool_init(store_manifest: dict, config, fault_plan=None,
+def _pool_init(state_type: type, manifest: dict, config, fault_plan=None,
                attempt: int = 0) -> None:
-    """Worker initializer: attach the published store exactly once.
+    """Worker initializer: rebuild the published state exactly once.
 
-    Runs in every worker under both start methods — the manifest is a
-    small picklable dict of segment names, so nothing heavy crosses the
-    ``spawn`` boundary either.  *fault_plan* (a picklable
-    :class:`~repro.robustness.faults.FaultPlan`, normally ``None``) arms
-    seeded fault injection inside the worker; *attempt* is the parent's
-    retry attempt number, exposed to the plan's filters.
+    Runs in every worker under both start methods — *state_type* pickles
+    by reference and the manifest is a small picklable dict of segment
+    names, so nothing heavy crosses the ``spawn`` boundary either.
+    *fault_plan* (a picklable :class:`~repro.robustness.faults.FaultPlan`,
+    normally ``None``) arms seeded fault injection inside the worker;
+    *attempt* is the parent's retry attempt number, exposed to the
+    plan's filters.
     """
-    global _IN_WORKER, _WORKER_STORE, _WORKER_CONFIG, _WORKER_ATTEMPT
-    from .store import VersionStore
-
+    global _IN_WORKER, _WORKER_STATE, _WORKER_CONFIG, _WORKER_ATTEMPT
     _IN_WORKER = True
     faults.install(fault_plan)
     _WORKER_ATTEMPT = attempt
-    _WORKER_STORE = VersionStore.from_manifest(store_manifest)
+    _WORKER_STATE = state_type.from_manifest(manifest)
     _WORKER_CONFIG = config
 
 
 def _pool_invoke(cell: Callable, items_manifest: dict, index: int):
-    """One cell, executed in a pool worker against the attached store."""
+    """One cell, executed in a pool worker against the attached state."""
     if faults.ACTIVE is not None:
         faults.fire("worker.cell", index=index, attempt=_WORKER_ATTEMPT)
     key = items_manifest.get("name") or ""
@@ -293,19 +248,24 @@ def _pool_invoke(cell: Callable, items_manifest: dict, index: int):
         items = attach_pickle(items_manifest)
         _WORKER_ITEMS.clear()  # previous map's items are dead weight
         _WORKER_ITEMS[key] = items
-    return cell(_WORKER_STORE, _WORKER_CONFIG, items[index])
+    return cell(_WORKER_STATE, _WORKER_CONFIG, items[index])
 
 
 class SharedStorePool:
-    """A persistent worker pool attached to one published VersionStore.
+    """A persistent worker pool attached to one published state.
 
-    The constructor publishes the store's artifacts into a private
+    *state* is any object with ``publish_shared(registry) -> manifest``
+    and a ``from_manifest(manifest)`` classmethod (a
+    :class:`~repro.experiments.store.VersionStore`, a
+    :class:`~repro.experiments.ksig_shard.SignatureShards`).  The
+    constructor publishes it into a private
     :class:`~repro.experiments.shm.ShmRegistry` and starts *jobs*
-    workers whose initializer attaches the segments by name; every
-    subsequent :meth:`map` call ships only a cell callable (pickled by
-    reference — use module-level functions, see
-    :mod:`repro.experiments.cells`), the item list (published once as a
-    single shm pickle) and per-task integer indices.
+    workers whose initializer rebuilds it with
+    ``type(state).from_manifest(manifest)``; every subsequent
+    :meth:`map` call ships only a cell callable (pickled by reference —
+    use module-level functions, see :mod:`repro.experiments.cells`), the
+    item list (published once as a single shm pickle) and per-task
+    integer indices.
 
     Use as a context manager; :meth:`close` drains the workers and
     unlinks every segment, and runs on success, exception and worker
@@ -314,7 +274,7 @@ class SharedStorePool:
 
     def __init__(
         self,
-        store,
+        state,
         jobs: int,
         config=None,
         context: str | None = None,
@@ -339,19 +299,19 @@ class SharedStorePool:
         try:
             if faults.ACTIVE is not None:
                 faults.fire("pool.start", attempt=attempt)
-            manifest = store.publish_shared(self._registry)
+            manifest = state.publish_shared(self._registry)
             self._pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=multiprocessing.get_context(method),
                 initializer=_pool_init,
-                initargs=(manifest, config, fault_plan, attempt),
+                initargs=(type(state), manifest, config, fault_plan, attempt),
             )
         except BaseException:
             self.close()
             raise
 
     def map(self, cell: Callable, items: Sequence) -> list:
-        """``[cell(store, config, item) for item in items]`` in the pool.
+        """``[cell(state, config, item) for item in items]`` in the pool.
 
         Deterministic merge: results come back in item order.  The item
         list is published once into a transient segment that is unlinked
@@ -393,10 +353,16 @@ class SharedStorePool:
         error: BaseException | None = None
         with ShmRegistry() as transient:
             manifest = transient.publish_pickle(items)
-            futures = [
-                (index, self._pool.submit(_pool_invoke, cell, manifest, index))
-                for index in pending
-            ]
+            futures = []
+            for index in pending:
+                try:
+                    future = self._pool.submit(_pool_invoke, cell, manifest, index)
+                except BrokenProcessPool as crash:
+                    # A worker died before this cell was submitted: report
+                    # the crash through the same path as a running cell.
+                    future = Future()
+                    future.set_exception(crash)
+                futures.append((index, future))
             for index, future in futures:
                 if error is not None:
                     future.cancel()
@@ -507,7 +473,7 @@ def _pooled_with_recovery(
     """Pool execution with bounded retry and serial degradation.
 
     Attempts the pending cells up to ``policy.attempts`` times — each
-    attempt re-publishes the store into fresh segments (the old pool may
+    attempt re-publishes the state into fresh segments (the old pool may
     have died with them attached) and re-submits **only** the cells that
     have no result yet.  Transient failures (worker crash, cell timeout,
     pool-start I/O error) consume one attempt after an exponential
@@ -576,11 +542,11 @@ def run_store_cells(
 ) -> list:
     """``[cell(store, config, item) for item in items]``, shm-sharded.
 
-    The store-aware successor of :func:`run_sharded`: *cell* must be a
-    module-level function of ``(store, config, item)`` (picklable by
-    reference, so the pool works under ``spawn`` too).  Serial and
-    parallel runs produce identical results — cells are deterministic
-    functions of the store's immutable artifacts.
+    *store* is any state :class:`SharedStorePool` can publish; *cell*
+    must be a module-level function of ``(store, config, item)``
+    (picklable by reference, so the pool works under ``spawn`` too).
+    Serial and parallel runs produce identical results — cells are
+    deterministic functions of the store's immutable artifacts.
 
     Scheduling is overhead-aware: without *est_cell_seconds* the first
     cell is timed in-process and used as the estimate; the pool only

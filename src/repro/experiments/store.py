@@ -71,8 +71,8 @@ _DEFAULT_CONFIG = AlignConfig()
 #: The generator families a shared store knows how to build.  The
 #: synthetic shapes are first-class members: ``VersionStore.shared(
 #: "synthetic_scale_free", ...)`` memoizes exactly like the curated
-#: datasets, so the parallel runner's fork-time preparation works
-#: unchanged on generated histories.
+#: datasets, so the parallel runner's preparation works unchanged on
+#: generated histories.
 GENERATOR_FAMILIES: dict[str, Callable] = {
     "efo": EFOGenerator,
     "gtopdb": GtoPdbGenerator,
@@ -270,7 +270,7 @@ class CellContext:
 
 
 #: Process-wide stores keyed by dataset configuration (shared across
-#: figures; inherited copy-on-write by forked parallel workers).
+#: figures; pool workers attach a published copy instead).
 #: Cleared together with the generators they wrap (see the registry
 #: hook below), so ``clear_shared_generators()`` releases everything.
 _SHARED_STORES: dict[tuple, "VersionStore"] = {}
@@ -699,7 +699,7 @@ class VersionStore:
         :class:`~repro.align.config.AlignConfig` (only its ``engine``
         matters here).  Memoized per ``(pair, engine)``; the context is
         deterministic (a fresh interner is seeded from the composed
-        deblank partition), so a forked worker recomputing it produces
+        deblank partition), so a pool worker recomputing it produces
         the exact same colors as the serial run.
         """
         engine = (config or _DEFAULT_CONFIG).engine
@@ -787,8 +787,8 @@ class VersionStore:
 
         Figures call this before sharding cells across workers so the
         expensive once-per-version work happens in the parent and reaches
-        every forked worker copy-on-write instead of being redone
-        ``jobs`` times.
+        every pool worker through the published store instead of being
+        redone ``jobs`` times.
         """
         selected = list(versions) if versions is not None else list(range(self.versions))
         for version in selected:

@@ -26,7 +26,7 @@ Hook points are two functions with a **zero-cost disabled path**: call
 sites guard on the module-level :data:`ACTIVE` tuple being ``None``
 (one attribute load + ``is None`` per event), so production runs pay
 nothing measurable — the ``robustness/retry_overhead`` bench gates the
-clean-path cost of the whole harness at ≤ 5 %.
+harness's clean-path cost per cell at ≤ 5 % of a real cell.
 
 Sites currently wired in:
 

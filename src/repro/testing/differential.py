@@ -9,9 +9,11 @@ asserts the cross-cutting invariants:
 
 * **engine parity** — the reference and dense engines produce
   byte-identical reports (modulo the ``engine`` marker itself);
-* **jobs determinism** — sharding the version pairs over worker
-  processes (:func:`repro.experiments.parallel.run_sharded`) yields
-  byte-identical report JSON to the serial run, for every jobs count;
+* **jobs determinism** — sharding the version pairs over the
+  shared-memory worker pool
+  (:func:`repro.experiments.parallel.run_store_cells`, forced past its
+  overhead refusal) yields byte-identical report JSON to the serial
+  run, for every jobs count;
 * **well-formedness** — alignments are structurally sound (pairs lie in
   the version sides, matched/unaligned sets are consistent, stats add
   up) and respect the generator's carried ground truth: a ground-truth
@@ -79,7 +81,8 @@ from ..align.registry import method_names, method_order
 from ..benchlog import append_bench_entry  # noqa: F401  (re-exported; CI uses it)
 from ..datasets.synthetic import SCENARIOS, SyntheticConfig, SyntheticGenerator
 from ..exceptions import ReproError
-from ..experiments.parallel import run_sharded
+from ..experiments.parallel import run_store_cells
+from ..experiments.store import VersionStore
 from ..io.atomic import atomic_write_text
 
 #: Default theta sweep of the monotonicity check (coarse on purpose —
@@ -211,6 +214,14 @@ def _run_cell(config: AlignConfig, source, target):
         return Refusal(type(error).__name__, str(error), expected=False)
 
 
+def _report_cell(store, config: AlignConfig, pair: tuple[int, int]) -> str:
+    """The jobs axis's pool cell: one pair's report JSON or refusal."""
+    outcome = _run_cell(config, store.graph(pair[0]), store.graph(pair[1]))
+    if isinstance(outcome, Refusal):
+        return outcome.render()
+    return outcome.report(config).to_json()
+
+
 def _parity_bytes(report: AlignmentReport) -> str:
     """The report JSON with the ``engine`` marker removed.
 
@@ -281,6 +292,8 @@ class _ScenarioOracle:
             self.generator = SyntheticGenerator(config=config)
         self.graphs = self.generator.graphs()
         self.report.generate_seconds = time.perf_counter() - started
+        #: The history as a pool-publishable store (jobs axis).
+        self.store = VersionStore(self.generator)
 
     # ------------------------------------------------------------------
     def _diverge(
@@ -312,26 +325,23 @@ class _ScenarioOracle:
     # ------------------------------------------------------------------
     def check_jobs_determinism(self, method: str, engine: str,
                                baseline: list[str]) -> None:
-        """Sharded runs must reproduce the serial report bytes exactly."""
+        """Pooled runs must reproduce the serial report bytes exactly."""
         config = AlignConfig(method=method, engine=engine)
-        graphs = self.graphs
         pairs = self.report.pairs
-
-        def cell(pair: tuple[int, int]) -> str:
-            outcome = _run_cell(config, graphs[pair[0]], graphs[pair[1]])
-            if isinstance(outcome, Refusal):
-                return outcome.render()
-            return outcome.report(config).to_json()
-
         for jobs in self.report.jobs:
             if jobs <= 1:
                 # The serial *baseline* already is the jobs=1 run —
-                # run_sharded short-circuits jobs<=1 to the identical
-                # in-process loop, so re-running it would compare the
-                # computation against itself.
+                # run_store_cells runs jobs<=1 as the identical in-process
+                # loop, so re-running it would compare the computation
+                # against itself.
                 continue
-            sharded = run_sharded(cell, pairs, jobs=jobs)
-            for index, (expected, got) in enumerate(zip(baseline, sharded)):
+            # force=True skips the overhead refusal: the axis exists to
+            # compare a real pool against the serial run.
+            pooled = run_store_cells(
+                self.store, _report_cell, pairs,
+                jobs=jobs, config=config, force=True,
+            )
+            for index, (expected, got) in enumerate(zip(baseline, pooled)):
                 if expected != got:
                     self._diverge(
                         "jobs_determinism", method,

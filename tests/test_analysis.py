@@ -204,6 +204,45 @@ class TestPoolCallable:
         assert lint_snippet(tmp_path, good, rule=self.RULE).findings == []
 
 
+class TestPrivatePool:
+    RULE = "private-pool"
+
+    def test_bad_executor_and_multiprocessing_pools(self, tmp_path):
+        bad = (
+            "import multiprocessing\n"
+            "import multiprocessing as mp\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from multiprocessing import Pool\n"
+            "def fan_out(task, items):\n"
+            "    with ProcessPoolExecutor(max_workers=2) as pool:\n"
+            "        pool.map(task, items)\n"
+            "    multiprocessing.Pool(2)\n"
+            "    mp.get_context('spawn').Pool(2)\n"
+            "    return Pool(2)\n"
+        )
+        result = lint_snippet(tmp_path, bad, rule=self.RULE)
+        assert [line for _, line in findings_of(result)] == [6, 8, 9, 10]
+
+    def test_good_shared_pool_and_blessed_module(self, tmp_path):
+        good = (
+            "from repro.experiments.parallel import SharedStorePool\n"
+            "def fan_out(state, cell, items):\n"
+            "    with SharedStorePool(state, jobs=2) as pool:\n"
+            "        return pool.map(cell, items)\n"
+        )
+        assert lint_snippet(tmp_path, good, rule=self.RULE).findings == []
+        pool_module = (
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "def start(jobs):\n"
+            "    return ProcessPoolExecutor(max_workers=jobs)\n"
+        )
+        result = lint_snippet(
+            tmp_path, pool_module, rule=self.RULE,
+            path="src/repro/experiments/parallel.py",
+        )
+        assert result.findings == []
+
+
 class TestShmLifecycle:
     RULE = "unguarded-shm"
 
@@ -411,7 +450,8 @@ def test_every_registered_rule_has_a_corpus_entry():
     """The corpus above covers the full registry (new rules must add pairs)."""
     covered = {
         "unordered-iteration", "unseeded-random", "wall-clock",
-        "pool-callable", "unguarded-shm", "bare-except", "broad-except",
+        "pool-callable", "private-pool", "unguarded-shm", "bare-except",
+        "broad-except",
         "raw-io", "non-atomic-write", "missing-annotations",
     }
     assert set(registered_rules()) == covered

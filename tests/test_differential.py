@@ -145,8 +145,8 @@ class TestOracleTeeth:
         assert {d.invariant for d in report.divergences} == {"engine_parity"}
 
     def test_jobs_divergence_is_caught(self):
-        # Three versions -> two pairs: with a single pair run_sharded
-        # degrades to the serial path and the worker never runs.
+        # Three versions -> two pairs: with a single pair run_store_cells
+        # stays on the serial path and the worker never runs.
         register_method(
             MethodSpec(
                 name="broken_worker_probe",

@@ -191,6 +191,39 @@ class TestEngineParity:
         pooled_ksignature_partition(graph, k=2, jobs=2)
         assert list_segments() == []
 
+    @pytest.mark.skipif(not pooled_available(), reason="no shared memory")
+    def test_pooled_run_survives_worker_crash(self, monkeypatch):
+        """A shard worker SIGKILLed mid-round sends the run down the
+        serial replay: same colors, no leaked segments."""
+        from repro.experiments import ksig_shard
+        from repro.experiments.shm import list_segments
+        from repro.robustness import FaultPlan, FaultSpec, inject
+
+        graph = RDFGraph()
+        ring = [blank(f"b{i}") for i in range(6)]
+        for index, node in enumerate(ring):
+            graph.add(node, uri("p"), ring[(index + 1) % len(ring)])
+        graph.add(uri("a"), uri("q"), ring[0])
+        serial = ksignature_partition(graph, ColorInterner(), k=4)
+
+        replays: list = []
+        replay = ksig_shard.ksignature_colors
+        monkeypatch.setattr(
+            ksig_shard, "ksignature_colors",
+            lambda *args, **kwargs: replays.append(1) or replay(*args, **kwargs),
+        )
+        plan = FaultPlan(
+            name="shard-sigkill",
+            specs=(FaultSpec(site="worker.cell", kind="sigkill", times=1),),
+        )
+        with inject(plan):
+            pooled = pooled_ksignature_partition(
+                graph, ColorInterner(), k=4, jobs=2
+            )
+        assert replays == [1], "the crash did not reach the serial replay"
+        assert pooled.as_dict() == serial.as_dict()
+        assert list_segments() == []
+
 
 # ---------------------------------------------------------------------------
 # 3. Monotonicity in k and the k=0 floor

@@ -9,6 +9,8 @@ the submission order.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.align import AlignConfig
@@ -17,59 +19,80 @@ from repro.datasets.efo import EFOGenerator
 from repro.datasets.synthetic import SCENARIOS, SyntheticGenerator
 from repro.evaluation.matrices import pairwise_matrix
 from repro.evaluation.metrics import aligned_edge_ratio
-from repro.experiments import figure10, figure13, figure15, parallel
+from repro.experiments import (
+    figure09,
+    figure10,
+    figure11,
+    figure12,
+    figure13,
+    figure14,
+    figure15,
+    figure16,
+    parallel,
+)
 from repro.experiments.cells import edge_ratio_cell, method_counts_cell
 from repro.experiments.parallel import (
     effective_jobs,
     fork_available,
     pool_overhead,
-    run_sharded,
     run_store_cells,
 )
 from repro.experiments.shm import list_segments, shm_available
 from repro.experiments.store import VersionStore
 from repro.model.csr import CSRGraph
-from repro.model.union import CombinedGraph
+from repro.model.union import CombinedGraph, combine
 from repro.partition.interner import ColorInterner
 from repro.similarity.overlap_alignment import OverlapTrace, overlap_partition
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="parallel pool needs the fork start method"
 )
+needs_spawn = pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(),
+    reason="spawn start method unavailable",
+)
 
 
-class TestRunSharded:
-    def test_serial_matches_map(self):
-        assert run_sharded(lambda x: x * x, range(6), jobs=1) == [
-            0, 1, 4, 9, 16, 25,
-        ]
+# Module-level cells: the pool ships cells by reference.
+def _failing_cell(store, config, item: int) -> int:
+    raise ValueError(f"cell {item}")
 
-    @needs_fork
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert run_sharded(lambda x: x * 3, items, jobs=4) == [x * 3 for x in items]
 
-    @needs_fork
-    def test_parallel_matches_serial_for_closures(self):
-        offset = 17
-        task = lambda x: x + offset  # noqa: E731 - closures must survive the fork
-        assert run_sharded(task, range(8), jobs=3) == run_sharded(
-            task, range(8), jobs=1
-        )
+def _square_cell(store, config, item: int) -> int:
+    return item * item
 
-    @needs_fork
-    def test_worker_exceptions_propagate(self):
-        def boom(x):
-            raise ValueError(f"cell {x}")
 
-        with pytest.raises(ValueError):
-            run_sharded(boom, range(4), jobs=2)
+def _triple_cell(store, config, item: int) -> int:
+    return item * 3
 
-    def test_effective_jobs(self):
-        assert effective_jobs(1, cells=10) == 1
-        assert effective_jobs(8, cells=3) == 3
-        assert effective_jobs(None, cells=1) == 1
-        assert effective_jobs(0, cells=2) <= 2
+
+def _deblank_ratio(union: CombinedGraph, engine: str) -> float:
+    csr = CSRGraph(union) if engine == "dense" else None
+    kwargs = {"csr": csr} if csr is not None else {}
+    partition = deblank_partition(union, ColorInterner(), engine=engine, **kwargs)
+    return aligned_edge_ratio(union, partition)
+
+
+def _deblank_ratio_cell(store, config, pair: tuple[int, int]) -> float:
+    union = combine(store.graph(pair[0]), store.graph(pair[1]))
+    return _deblank_ratio(union, config.engine)
+
+
+def _overlap_trace_cell(store, config, pair: tuple[int, int]) -> tuple:
+    union = CombinedGraph(store.graph(pair[0]), store.graph(pair[1]))
+    csr = CSRGraph(union) if config.engine == "dense" else None
+    trace = OverlapTrace()
+    weighted = overlap_partition(
+        union, theta=0.65, interner=ColorInterner(), trace=trace,
+        engine=config.engine, csr=csr,
+    )
+    return (
+        trace.literal_matches,
+        tuple(trace.rounds),
+        trace.stopped_by_round_limit,
+        tuple(stats.rounds for stats in trace.weight_stats),
+        weighted.partition.num_classes,
+    )
 
 
 class TestOverheadScheduling:
@@ -104,6 +127,12 @@ class TestOverheadScheduling:
         # Without an estimate the historical clamp-only behavior holds.
         assert effective_jobs(4, cells=10) == 4
 
+    def test_clamps_to_cells(self):
+        assert effective_jobs(1, cells=10) == 1
+        assert effective_jobs(8, cells=3) == 3
+        assert effective_jobs(None, cells=1) == 1
+        assert effective_jobs(0, cells=2) <= 2
+
     def test_pool_overhead_is_measured_once(self, monkeypatch):
         monkeypatch.setattr(parallel, "_MEASURED_OVERHEAD", None)
         first = pool_overhead()
@@ -133,8 +162,26 @@ class TestRunStoreCells:
         rows = run_store_cells(store, edge_ratio_cell, pairs, jobs=1)
         assert rows == [edge_ratio_cell(store, None, pair) for pair in pairs]
 
+    def test_serial_matches_map(self, store):
+        assert run_store_cells(store, _square_cell, range(6), jobs=1) == [
+            0, 1, 4, 9, 16, 25,
+        ]
+
+    @needs_fork
+    def test_parallel_preserves_order(self, store):
+        items = list(range(20))
+        pooled = run_store_cells(store, _triple_cell, items, jobs=4, force=True)
+        assert pooled == [x * 3 for x in items]
+        assert list_segments() == []
+
     def test_empty_items(self, store):
         assert run_store_cells(store, edge_ratio_cell, [], jobs=4) == []
+
+    @needs_fork
+    def test_cell_exceptions_propagate(self, store):
+        with pytest.raises(ValueError):
+            run_store_cells(store, _failing_cell, range(4), jobs=2, force=True)
+        assert list_segments() == []
 
     @needs_fork
     def test_fork_pool_matches_serial(self, store, pairs):
@@ -145,10 +192,7 @@ class TestRunStoreCells:
         assert pooled == serial
         assert list_segments() == []
 
-    @pytest.mark.skipif(
-        "spawn" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
+    @needs_spawn
     def test_spawn_pool_matches_serial(self, store, pairs):
         """The no-fork (Windows-style) fallback: attach under spawn."""
         config = AlignConfig(theta=0.65)
@@ -182,83 +226,109 @@ class TestRunStoreCells:
 
 @needs_fork
 class TestPairwiseMatrixDeterminism:
+    """Version-pair matrices computed in the pool match the serial ones."""
+
     @pytest.fixture(scope="class")
-    def graphs(self):
-        return EFOGenerator(scale=0.12, seed=234, versions=4).graphs()
+    def store(self):
+        return VersionStore(EFOGenerator(scale=0.12, seed=234, versions=4))
 
     @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_jobs4_byte_identical_to_serial(self, graphs, engine):
-        def cell(union: CombinedGraph) -> float:
-            interner = ColorInterner()
-            csr = CSRGraph(union) if engine == "dense" else None
-            kwargs = {"csr": csr} if csr is not None else {}
-            partition = deblank_partition(union, interner, engine=engine, **kwargs)
-            return aligned_edge_ratio(union, partition)
-
-        serial = pairwise_matrix(graphs, cell, symmetric_fill=True, jobs=1)
-        parallel = pairwise_matrix(graphs, cell, symmetric_fill=True, jobs=4)
-        assert parallel.values == serial.values
-        assert repr(sorted(parallel.values.items())) == repr(
-            sorted(serial.values.items())
+    def test_jobs4_byte_identical_to_serial(self, store, engine):
+        serial = pairwise_matrix(
+            store.graphs(), lambda union: _deblank_ratio(union, engine),
+            symmetric_fill=True,
         )
+        pairs = [pair for pair in serial.values if pair[0] <= pair[1]]
+        pooled = dict(zip(pairs, run_store_cells(
+            store, _deblank_ratio_cell, pairs,
+            jobs=4, config=AlignConfig(engine=engine), force=True,
+        )))
+        for source, target in list(pooled):
+            pooled[(target, source)] = pooled[(source, target)]
+        assert pooled == serial.values
+        assert repr(sorted(pooled.items())) == repr(sorted(serial.values.items()))
 
     @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_overlap_traces_identical(self, graphs, engine):
+    def test_overlap_traces_identical(self, store, engine):
         """The full Algorithm 2 diagnostics match serial, cell for cell."""
-
-        def cell(pair):
-            source, target = pair
-            union = CombinedGraph(graphs[source], graphs[target])
-            interner = ColorInterner()
-            csr = CSRGraph(union) if engine == "dense" else None
-            trace = OverlapTrace()
-            weighted = overlap_partition(
-                union, theta=0.65, interner=interner, trace=trace,
-                engine=engine, csr=csr,
-            )
-            return (
-                trace.literal_matches,
-                tuple(trace.rounds),
-                trace.stopped_by_round_limit,
-                tuple(stats.rounds for stats in trace.weight_stats),
-                weighted.partition.num_classes,
-            )
-
         pairs = [(0, 1), (1, 2), (2, 3)]
-        assert run_sharded(cell, pairs, jobs=3) == [cell(pair) for pair in pairs]
+        config = AlignConfig(engine=engine)
+        pooled = run_store_cells(
+            store, _overlap_trace_cell, pairs, jobs=3, config=config, force=True,
+        )
+        assert pooled == [_overlap_trace_cell(store, config, pair) for pair in pairs]
+
+
+#: ``figure -> (module, run kwargs)``: every figure that fans cells out.
+_POOLED_FIGURES = {
+    "figure09": (figure09, {"scale": 0.12, "versions": 4}),
+    "figure10": (figure10, {"scale": 0.12, "versions": 4}),
+    "figure11": (figure11, {"scale": 0.12, "versions": 4}),
+    "figure12": (figure12, {"scale": 0.2, "versions": 4}),
+    "figure13": (figure13, {"scale": 0.2, "versions": 4}),
+    "figure14": (figure14, {"scale": 0.2, "versions": 4}),
+    "figure15": (figure15, {"scale": 0.2, "versions": 4, "source_version": 2}),
+    "figure16": (figure16, {"scale": 0.2, "versions": 4}),
+}
+
+
+def _untimed(rows: list[dict]) -> list[dict]:
+    """Figure 16's rows without its wall-clock ``*_s`` columns."""
+    return [
+        {key: value for key, value in row.items() if not key.endswith("_s")}
+        for row in rows
+    ]
 
 
 @needs_fork
 class TestFigureDeterminism:
-    def test_figure10_parallel_identical(self):
-        serial = figure10.run(scale=0.12, versions=4, config=AlignConfig(jobs=1))
-        parallel = figure10.run(scale=0.12, versions=4, config=AlignConfig(jobs=3))
-        assert parallel.rows == serial.rows
-        assert parallel.render() == serial.render()
+    """Pooled figure runs reproduce the serial rows, and a pool really runs."""
 
-    def test_figure13_parallel_identical(self):
-        serial = figure13.run(scale=0.2, versions=4, config=AlignConfig(jobs=1))
-        parallel = figure13.run(scale=0.2, versions=4, config=AlignConfig(jobs=2))
-        assert parallel.rows == serial.rows
-        assert parallel.render() == serial.render()
+    @pytest.fixture(autouse=True)
+    def pools(self, monkeypatch):
+        # Pin both sides of the economics so the autotune always agrees
+        # to shard: the machine "has" 4 CPUs and a pool costs nothing.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "_MEASURED_OVERHEAD", 0.0)
+        started: list = []
 
-    def test_figure13_dense_parallel_identical(self):
+        class CountingPool(parallel.SharedStorePool):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("jobs"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "SharedStorePool", CountingPool)
+        yield started
+        assert list_segments() == []
+
+    @pytest.mark.parametrize(
+        "name, context",
+        [(name, "fork") for name in _POOLED_FIGURES]
+        + [pytest.param("figure14", "spawn", marks=needs_spawn)],
+    )
+    def test_parallel_identical(self, name, context, pools, monkeypatch):
+        module, kwargs = _POOLED_FIGURES[name]
+        serial = module.run(**kwargs, config=AlignConfig(jobs=1))
+        assert pools == []
+        if context == "spawn":
+            monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        pooled = module.run(**kwargs, config=AlignConfig(jobs=2))
+        assert pools, f"{name} never started a pool at jobs=2"
+        if name == "figure16":
+            assert _untimed(pooled.rows) == _untimed(serial.rows)
+        else:
+            assert pooled.rows == serial.rows
+            assert pooled.render() == serial.render()
+
+    def test_figure13_dense_parallel_identical(self, pools):
         dense = AlignConfig(engine="dense")
         serial = figure13.run(scale=0.2, versions=4, config=dense.evolve(jobs=1))
-        parallel = figure13.run(scale=0.2, versions=4, config=dense.evolve(jobs=2))
-        assert parallel.rows == serial.rows
+        parallel_run = figure13.run(scale=0.2, versions=4, config=dense.evolve(jobs=2))
+        assert pools
+        assert parallel_run.rows == serial.rows
 
-    def test_figure15_parallel_identical(self):
-        serial = figure15.run(
-            scale=0.2, versions=4, source_version=2, config=AlignConfig(jobs=1)
-        )
-        parallel = figure15.run(
-            scale=0.2, versions=4, source_version=2, config=AlignConfig(jobs=3)
-        )
-        assert parallel.rows == serial.rows
-        assert parallel.render() == serial.render()
-
-    def test_jobs_not_in_report_parameters(self):
+    def test_jobs_not_in_report_parameters(self, pools):
         """`jobs` must never leak into reports — it would break identity."""
         result = figure10.run(scale=0.12, versions=4, config=AlignConfig(jobs=2))
+        assert pools
         assert "jobs" not in result.parameters

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import signal
 from array import array
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -182,6 +183,29 @@ class TestWorkerCrash:
         with pytest.raises(WorkerCrashError):
             with SharedStorePool(store, jobs=2, context="fork") as pool:
                 pool.map(_crash_cell, [(0, 1), (1, 2)])
+        assert list_segments() == []
+
+    def test_crash_before_submission_keeps_finished_cells(self, monkeypatch):
+        # A worker dying before every cell is submitted makes submit()
+        # itself raise BrokenProcessPool: that is a worker crash too, and
+        # the cells that already finished are kept.
+        store = _fault_store()
+        with SharedStorePool(store, jobs=1, context="fork") as pool:
+            submit = pool._pool.submit
+            calls: list = []
+
+            def flaky_submit(*args, **kwargs):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise BrokenProcessPool("a worker died")
+                return submit(*args, **kwargs)
+
+            monkeypatch.setattr(pool._pool, "submit", flaky_submit)
+            done, error = pool.map_partial(
+                edge_ratio_cell, [(0, 1), (1, 2)], [0, 1]
+            )
+        assert isinstance(error, WorkerCrashError)
+        assert done == {0: edge_ratio_cell(store, None, (0, 1))}
         assert list_segments() == []
 
 
