@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core.dense import _np as _HAS_NUMPY, dense_refine_fixpoint
+from repro.core.dense import dense_refine_fixpoint
 from repro.core.hybrid import hybrid_partition
 from repro.core.refinement import FixpointStats, bisim_refine_fixpoint
 from repro.datasets import EFOGenerator
@@ -79,18 +79,6 @@ def _best_of_interleaved(first, second, repeats=5):
     return bests[0], results[0], bests[1], results[1]
 
 
-@pytest.mark.parametrize("scale", SCALES)
-def test_reference_engine(benchmark, efo_pairs, scale):
-    partition = benchmark(lambda: _run_reference(efo_pairs[scale]))
-    assert partition.num_classes > 1
-
-
-@pytest.mark.parametrize("scale", SCALES)
-def test_dense_engine(benchmark, efo_pairs, scale):
-    partition = benchmark(lambda: _run_dense(efo_pairs[scale]))
-    assert partition.num_classes > 1
-
-
 def test_dense_speedup_on_largest_workload(efo_pairs, results_dir):
     """Acceptance: ≥ 3× on the largest scalability workload, with parity."""
     lines = [
@@ -107,6 +95,7 @@ def test_dense_speedup_on_largest_workload(efo_pairs, results_dir):
         reference_time, reference, dense_time, dense = _best_of_interleaved(
             lambda: _run_reference(union), lambda: _run_dense(union)
         )
+        assert reference.num_classes > 1
         assert dense.equivalent_to(reference), f"engines diverged at scale {scale}"
         record_bench(
             f"engine_dense/scale{scale}", dense_time,
@@ -127,11 +116,6 @@ def test_dense_speedup_on_largest_workload(efo_pairs, results_dir):
     (results_dir / "engine_dense.txt").write_text(report, encoding="utf-8")
     print()
     print(report)
-    if _HAS_NUMPY is None:
-        pytest.skip(
-            "the 3x bound is claimed for the NumPy-vectorized dense path; "
-            "report recorded, assertion skipped on the pure-Python fallback"
-        )
     largest = SCALES[-1]
     if speedups[largest] < REQUIRED_SPEEDUP:
         # One slow outlier on a noisy shared runner shouldn't go red:

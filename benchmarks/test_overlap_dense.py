@@ -4,7 +4,7 @@ PR 1 moved ``BisimRefine*`` onto flat arrays; this bench measures the
 follow-up: the whole overlap alignment — weight iteration, alignment
 tracking, candidate search — running against one CSR snapshot
 (``repro/similarity/dense_overlap.py``).  Both engines run
-``align_versions(method="overlap")`` on random mutation workloads built
+``Aligner(method="overlap").align`` on random mutation workloads built
 from the shared builders of ``repro.datasets.mutations`` (blank
 reshuffle + URI renames + literal curation edits + drops/inserts), the
 partitions and traces are checked for parity, and the headline ``≥ 2.5×``
@@ -19,8 +19,7 @@ import time
 
 import pytest
 
-from repro.api import align_versions
-from repro.core.dense import _np as _HAS_NUMPY
+from repro.align import Aligner
 from repro.datasets.mutations import mutation_workload
 
 #: Mutation-workload scales, smallest to largest; the last entry is "the
@@ -41,7 +40,7 @@ def workloads():
 
 def _run(workload, engine):
     source, target = workload
-    return align_versions(source, target, method="overlap", engine=engine)
+    return Aligner(method="overlap", engine=engine).align(source, target)
 
 
 def _best_of_interleaved(first, second, repeats=3):
@@ -85,7 +84,7 @@ def test_dense_overlap_speedup_on_largest_workload(workloads, results_dir):
     """Acceptance: ≥ 2.5× end to end on the largest mutation workload."""
     lines = [
         "Dense vs reference overlap pipeline "
-        "(align_versions method=overlap, best of 3 interleaved runs)",
+        "(Aligner method=overlap, best of 3 interleaved runs)",
         "",
         f"{'scale':>6} {'nodes':>8} {'edges':>8} {'gens':>5} "
         f"{'reference_s':>12} {'dense_s':>9} {'speedup':>8}",
@@ -114,11 +113,6 @@ def test_dense_overlap_speedup_on_largest_workload(workloads, results_dir):
     (results_dir / "overlap_dense.txt").write_text(report, encoding="utf-8")
     print()
     print(report)
-    if _HAS_NUMPY is None:
-        pytest.skip(
-            "the 2.5x bound is claimed for the NumPy-vectorized dense path; "
-            "report recorded, assertion skipped on the pure-Python fallback"
-        )
     largest = SCALES[-1]
     if speedups[largest] < REQUIRED_SPEEDUP:
         # One slow outlier on a noisy shared runner shouldn't go red:

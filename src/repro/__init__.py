@@ -9,7 +9,6 @@ Public API highlights:
 * :mod:`repro.align` — the session API: :class:`repro.Aligner`,
   :class:`repro.AlignConfig`, the method registry and serializable
   :class:`repro.AlignmentReport` results,
-* :func:`repro.align_versions` — the legacy one-shot facade,
 * :mod:`repro.model` — labels, triple graphs, RDF graphs, disjoint unions,
 * :mod:`repro.core` — bisimulation refinement, Trivial/Deblank/Hybrid,
 * :mod:`repro.similarity` — σEdit, weighted partitions, Overlap,
@@ -21,10 +20,10 @@ from .align import (
     AlignConfig,
     Aligner,
     AlignmentReport,
+    AlignmentResult,
     MethodSpec,
     register_method,
 )
-from .api import AlignmentMethod, AlignmentResult, align_many, align_versions
 from .exceptions import (
     AlignError,
     AlignmentError,
@@ -66,7 +65,6 @@ __all__ = [
     "AlignError",
     "Aligner",
     "AlignmentError",
-    "AlignmentMethod",
     "AlignmentReport",
     "AlignmentResult",
     "BLANK",
@@ -94,8 +92,6 @@ __all__ = [
     "TripleGraph",
     "URI",
     "__version__",
-    "align_many",
-    "align_versions",
     "blank",
     "combine",
     "lit",

@@ -16,10 +16,6 @@ The public surface of this package::
   registry every method list in the system derives from;
 * :class:`AlignmentReport` — the stable, versioned, serializable result
   schema (``to_json``/``from_json`` round-trip).
-
-The legacy one-shot functions :func:`repro.align_versions` and
-:func:`repro.align_many` remain available as a thin facade over this
-package.
 """
 
 from .config import PROBE_RULES, SPLITTERS, AlignConfig

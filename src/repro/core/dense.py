@@ -16,17 +16,22 @@ module keeps the exact same fixpoint semantics but runs each
   as the reference engine's ``("recolor", color, pairs)`` tuple, in a
   fixed-width binary form that hashes in one pass.
 
-When NumPy is importable the per-round gather/sort/dedupe runs fully
-vectorized (one ``lexsort`` over the subset's edges); otherwise a
-pure-Python loop produces byte-identical keys.  The keys are interned in
-the *shared* :class:`ColorInterner`, so dense colors are valid everywhere
-reference colors are (alignments, overlap enrichment, derivation dumps
-degrade to opaque byte keys).  Because both key spaces are injective
-encodings of ``(color, pair set)``, a pipeline that uses one engine
-throughout produces partitions *equivalent up to color renaming* to the
-other engine's — ``tests/test_engine_parity.py`` asserts this across all
-four alignment methods and ``benchmarks/test_engine_dense.py`` measures
-the speedup.
+The per-round gather/sort/dedupe runs vectorized in NumPy (one
+``lexsort`` over the subset's edges) in :func:`recolor_payloads`, the
+one builder of these keys, which the k-signature engine
+(:mod:`repro.core.ksignature`) hashes instead of interning.  This engine
+requires NumPy: :func:`resolve_refine_engine` refuses ``"dense"`` with a
+:class:`~repro.exceptions.ConfigError` when it is missing, and
+``engine="reference"`` is the dependency-free path.
+
+The keys are interned in the *shared* :class:`ColorInterner`, so dense
+colors are valid everywhere reference colors are (alignments, overlap
+enrichment, derivation dumps degrade to opaque byte keys).  Because both
+key spaces are injective encodings of ``(color, pair set)``, a pipeline
+that uses one engine throughout produces partitions *equivalent up to
+color renaming* to the other engine's — ``tests/test_engine_parity.py``
+asserts this across all four alignment methods and
+``benchmarks/test_engine_dense.py`` measures the speedup.
 
 The design follows the flat-array refinement representations of Rau et
 al. (*Computing k-Bisimulations for Large Graphs*, 2022) and the
@@ -37,9 +42,9 @@ contiguous node-state layout of the I/O-efficient bisimulation line
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Collection, Literal as TypingLiteral
+from typing import Any, Callable, Collection, Literal as TypingLiteral
 
-from ..exceptions import PartitionError, UnknownEngineError
+from ..exceptions import ConfigError, PartitionError, UnknownEngineError
 from ..model.csr import CSRGraph, subset_mask
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition
@@ -52,7 +57,7 @@ from .refinement import (
     reseed_partition,
 )
 
-try:  # pragma: no cover - exercised implicitly by the engine tests
+try:  # pragma: no cover - the package imports without NumPy
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -130,12 +135,36 @@ def refine_colors(
     ``(colors, rounds, converged, classes)`` with the same fixpoint
     semantics as :func:`dense_refine_fixpoint`.
     """
-    sub_offsets, sub_predicates, sub_objects = csr.subgraph_pairs(subset_ids)
-    loop = _refine_loop_numpy if _np is not None else _refine_loop_python
-    return loop(
-        list(colors), subset_ids, sub_offsets, sub_predicates, sub_objects,
-        interner, max_rounds,
+    offsets, predicates, objects = (
+        as_int64(buffer) for buffer in csr.subgraph_pairs(subset_ids)
     )
+    subset = as_int64(subset_ids)
+    intern = interner.intern
+    num_subset = len(subset_ids)
+    colors_np = _np.array(colors, dtype=_np.int64)
+    current_classes = len(_np.unique(colors_np))
+    rounds = 0
+    while True:
+        if max_rounds is not None and rounds >= max_rounds:
+            return colors_np.tolist(), rounds, False, current_classes
+        _check_color_budget(interner)
+        # One simultaneous BisimRefine round: keys read `colors_np`, writes
+        # go to the `new_colors_np` copy.
+        buffer, bounds = recolor_payloads(
+            colors_np, subset, offsets, predicates, objects
+        )
+        new_colors_np = colors_np.copy()
+        new_colors_np[subset] = [
+            intern(buffer[bounds[k] : bounds[k + 1]]) for k in range(num_subset)
+        ]
+        refined_classes = len(_np.unique(new_colors_np))
+        rounds += 1
+        if refined_classes == current_classes:
+            # The round was a pure recoloring: the previous iterate already
+            # was the fixpoint (Definition 4).
+            return colors_np.tolist(), rounds, True, current_classes
+        colors_np = new_colors_np
+        current_classes = refined_classes
 
 
 def _check_color_budget(interner: ColorInterner) -> None:
@@ -146,123 +175,60 @@ def _check_color_budget(interner: ColorInterner) -> None:
         )
 
 
-def _refine_loop_python(
-    colors: list[int],
-    subset_ids: list[int],
-    sub_offsets: array,
-    sub_predicates: array,
-    sub_objects: array,
-    interner: ColorInterner,
-    max_rounds: int | None,
-) -> tuple[list[int], int, bool, int]:
-    """Portable round loop; returns ``(colors, rounds, converged, classes)``."""
-    intern = interner.intern
-    num_subset = len(subset_ids)
-    current_classes = len(set(colors))
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return colors, rounds, False, current_classes
-        _check_color_budget(interner)
-        # One simultaneous BisimRefine round: keys read `colors`, writes go
-        # to the `new_colors` copy.
-        codes = [
-            (colors[p] << 32) | colors[o]
-            for p, o in zip(sub_predicates, sub_objects)
-        ]
-        new_colors = colors.copy()
-        for k in range(num_subset):
-            start = sub_offsets[k]
-            end = sub_offsets[k + 1]
-            block = codes[start:end]
-            if end - start > 1:
-                block = sorted(set(block))
-            dense_id = subset_ids[k]
-            block.insert(0, colors[dense_id])
-            new_colors[dense_id] = intern(array("q", block).tobytes())
-        refined_classes = len(set(new_colors))
-        rounds += 1
-        if refined_classes == current_classes:
-            # The round was a pure recoloring: the previous iterate already
-            # was the fixpoint (Definition 4).
-            return colors, rounds, True, current_classes
-        colors = new_colors
-        current_classes = refined_classes
+def as_int64(buffer: Any) -> Any:
+    """*buffer* as an int64 ndarray (zero-copy for arrays and views)."""
+    if isinstance(buffer, _np.ndarray):
+        return buffer
+    if isinstance(buffer, (array, bytes, memoryview)):
+        return _np.frombuffer(buffer, dtype=_np.int64)
+    return _np.asarray(buffer, dtype=_np.int64)
 
 
-def _refine_loop_numpy(
-    colors: list[int],
-    subset_ids: list[int],
-    sub_offsets: array,
-    sub_predicates: array,
-    sub_objects: array,
-    interner: ColorInterner,
-    max_rounds: int | None,
-) -> tuple[list[int], int, bool, int]:
-    """Vectorized round loop producing byte-identical keys to the portable one.
+def recolor_payloads(
+    colors: Any, subset_ids: Any, offsets: Any, predicates: Any, objects: Any
+) -> tuple[bytes, list[int]]:
+    """The recolor keys of one ``BisimRefine`` round, in one buffer.
 
-    Per round: one fancy-indexed gather builds the packed pair codes, one
-    ``lexsort`` orders them within each subject's segment, a shift-compare
-    drops duplicates, and the only remaining Python work is slicing each
-    node's key bytes out of one contiguous buffer and interning it.
+    Every argument is an int64 ndarray (see :func:`as_int64`): *colors*
+    is the full dense color buffer, *subset_ids* the nodes to recolor,
+    and ``offsets[k]:offsets[k+1]`` slices *predicates*/*objects* to the
+    out-pairs of ``subset_ids[k]`` (a shard's offsets need not start at
+    0).  Returns ``(buffer, bounds)``: ``buffer[bounds[k]:bounds[k+1]]``
+    is node ``k``'s key, the int64 bytes of ``[current color, sorted
+    unique (p_color << 32) | o_color codes]``.
+
+    One fancy-indexed gather packs the pair codes, one ``lexsort``
+    orders them within each node's segment and a shift-compare drops
+    duplicates.  :func:`refine_colors` interns these keys; the
+    k-signature engine (:mod:`repro.core.ksignature`) hashes them.
     """
-    intern = interner.intern
-    num_subset = len(subset_ids)
-    colors_np = _np.array(colors, dtype=_np.int64)
-    subset_np = _np.array(subset_ids, dtype=_np.int64)
-    preds = _np.frombuffer(sub_predicates, dtype=_np.int64)
-    objs = _np.frombuffer(sub_objects, dtype=_np.int64)
-    offsets = _np.frombuffer(sub_offsets, dtype=_np.int64)
+    num = len(subset_ids)
+    start = int(offsets[0])
+    end = int(offsets[-1])
     # Which subset position each pair belongs to (pairs are segment-grouped).
-    pair_owner = _np.repeat(_np.arange(num_subset), _np.diff(offsets))
-
-    current_classes = len(_np.unique(colors_np)) if len(colors_np) else 0
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return colors_np.tolist(), rounds, False, current_classes
-        _check_color_budget(interner)
-        codes = (colors_np[preds] << 32) | colors_np[objs]
-        order = _np.lexsort((codes, pair_owner))
-        owner_sorted = pair_owner[order]
-        codes_sorted = codes[order]
-        if len(codes_sorted):
-            keep = _np.empty(len(codes_sorted), dtype=bool)
-            keep[0] = True
-            keep[1:] = (owner_sorted[1:] != owner_sorted[:-1]) | (
-                codes_sorted[1:] != codes_sorted[:-1]
-            )
-            owner_kept = owner_sorted[keep]
-            codes_kept = codes_sorted[keep]
-        else:
-            owner_kept = owner_sorted
-            codes_kept = codes_sorted
-        counts = _np.bincount(owner_kept, minlength=num_subset).astype(_np.int64)
-        # Key layout: one contiguous int64 buffer holding, per subset node,
-        # [current color, sorted unique codes...]; bounds in byte units.
-        bounds = _np.empty(num_subset + 1, dtype=_np.int64)
-        bounds[0] = 0
-        _np.cumsum(counts + 1, out=bounds[1:])
-        combined = _np.empty(int(bounds[-1]), dtype=_np.int64)
-        head_positions = bounds[:-1]
-        combined[head_positions] = colors_np[subset_np]
-        body_mask = _np.ones(len(combined), dtype=bool)
-        body_mask[head_positions] = False
-        combined[body_mask] = codes_kept
-        buffer = combined.tobytes()
-        byte_bounds = (bounds * 8).tolist()
-        new_subset_colors = [
-            intern(buffer[byte_bounds[k] : byte_bounds[k + 1]])
-            for k in range(num_subset)
-        ]
-        new_colors_np = colors_np.copy()
-        new_colors_np[subset_np] = new_subset_colors
-        refined_classes = len(_np.unique(new_colors_np))
-        rounds += 1
-        if refined_classes == current_classes:
-            return colors_np.tolist(), rounds, True, current_classes
-        colors_np = new_colors_np
-        current_classes = refined_classes
+    owner = _np.repeat(_np.arange(num), _np.diff(offsets))
+    codes = (colors[predicates[start:end]] << 32) | colors[objects[start:end]]
+    order = _np.lexsort((codes, owner))
+    owner_sorted = owner[order]
+    codes_sorted = codes[order]
+    keep = _np.empty(len(codes_sorted), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (owner_sorted[1:] != owner_sorted[:-1]) | (
+        codes_sorted[1:] != codes_sorted[:-1]
+    )
+    counts = _np.bincount(owner_sorted[keep], minlength=num)
+    # Key layout: one contiguous int64 buffer holding, per subset node,
+    # [current color, sorted unique codes...].
+    bounds = _np.empty(num + 1, dtype=_np.int64)
+    bounds[0] = 0
+    _np.cumsum(counts + 1, out=bounds[1:])
+    payload = _np.empty(int(bounds[-1]), dtype=_np.int64)
+    heads = bounds[:-1]
+    payload[heads] = colors[subset_ids]
+    body = _np.ones(len(payload), dtype=bool)
+    body[heads] = False
+    payload[body] = codes_sorted[keep]
+    return payload.tobytes(), (bounds * 8).tolist()
 
 
 #: Engine selector threaded through the partition builders and the API.
@@ -276,11 +242,24 @@ REFINEMENT_ENGINES: dict[str, Callable[..., Partition]] = {
 
 
 def resolve_refine_engine(engine: str) -> Callable[..., Partition]:
-    """The fixpoint function for *engine* (``"reference"``/``"dense"``)."""
+    """The fixpoint function for *engine* (``"reference"``/``"dense"``).
+
+    The one engine check: ``AlignConfig``, the partition builders,
+    ``overlap_partition`` and the k-signature runs all call it.  An
+    unknown name raises :class:`UnknownEngineError`; ``"dense"`` without
+    NumPy raises :class:`ConfigError` (``"reference"`` needs only the
+    standard library).
+    """
     try:
-        return REFINEMENT_ENGINES[engine]
+        refine = REFINEMENT_ENGINES[engine]
     except (KeyError, TypeError):
         raise UnknownEngineError(
             f"unknown refinement engine {engine!r}; "
             f"expected one of {tuple(sorted(REFINEMENT_ENGINES))}"
         ) from None
+    if engine == "dense" and _np is None:
+        raise ConfigError(
+            "engine='dense' requires NumPy (install the 'fast' extra); "
+            "engine='reference' runs without it"
+        )
+    return refine

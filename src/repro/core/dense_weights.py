@@ -10,19 +10,18 @@ iteration over the contiguous edge arrays of a
 :class:`~repro.model.csr.CSRGraph` snapshot: one gather of the predicate
 and object weights, one capped add, one segment sum per sweep.
 
-Two useful identities keep the vectorization exact for the paper's
-default operator ``x ⊕ y = min(x + y, 1)``:
+One identity keeps the vectorization exact for the paper's default
+operator ``x ⊕ y = min(x + y, 1)``: all contributions are non-negative,
+so the left fold with intermediate capping equals
+``min(Σ contributions, 1)`` — once a prefix saturates at 1, every further
+``⊕`` leaves it there, and the plain sum can only be larger.  Each sweep
+takes its segment sums as differences of one sequential NumPy ``cumsum``
+over the subset's edges, so weights match the reference engine within
+``ε`` (the additions run in a different order).
 
-* all contributions are non-negative, so the left fold with intermediate
-  capping equals ``min(Σ contributions, 1)`` — once a prefix saturates at
-  1, every further ``⊕`` leaves it there, and the plain sum can only be
-  larger;
-* segment sums are taken from one sequential ``cumsum`` over the subset's
-  edges, which the pure-Python fallback replays addition-for-addition, so
-  NumPy and fallback produce bit-identical weights (pinned by
-  ``tests/test_overlap_dense.py``).
-
-Non-default ``⊕`` operators (probabilistic, max) take a portable
+Like the rest of the dense engine this path needs NumPy
+(:func:`~repro.core.dense.resolve_refine_engine` refuses ``"dense"``
+without it).  Non-default ``⊕`` operators (probabilistic, max) take a
 fold-per-node path that mirrors the reference ``oplus_sum`` semantics
 over the same CSR edge order.
 """
@@ -33,9 +32,10 @@ from typing import Sequence
 
 from ..model.csr import CSRGraph
 from ..oplus import OplusOperator, oplus
+from .dense import as_int64
 from .refinement import WeightFixpointStats, _warn_weight_truncated
 
-try:  # pragma: no cover - exercised implicitly by the engine tests
+try:  # pragma: no cover - the package imports without NumPy
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -73,13 +73,8 @@ def dense_weight_fixpoint(
         stats.final_delta = 0.0
         return new_weights
     offsets, predicates, objects = csr.subgraph_pairs(active)
-    if operator is oplus and _np is not None:
-        return _iterate_numpy(
-            new_weights, active, offsets, predicates, objects,
-            epsilon, max_rounds, stats,
-        )
     if operator is oplus:
-        return _iterate_python(
+        return _iterate_capped(
             new_weights, active, offsets, predicates, objects,
             epsilon, max_rounds, stats,
         )
@@ -100,17 +95,17 @@ def _finish(
         _warn_weight_truncated(stats, max_rounds)
 
 
-def _iterate_numpy(
+def _iterate_capped(
     weights: list[float], active: list[int],
     offsets: Sequence[int], predicates: Sequence[int], objects: Sequence[int],
     epsilon: float, max_rounds: int, stats: WeightFixpointStats,
 ) -> list[float]:
     """Vectorized sweeps for the default capped-addition operator."""
     w = _np.array(weights, dtype=_np.float64)
-    sub = _np.array(active, dtype=_np.int64)
-    preds = _np.frombuffer(predicates, dtype=_np.int64)
-    objs = _np.frombuffer(objects, dtype=_np.int64)
-    bounds = _np.frombuffer(offsets, dtype=_np.int64)
+    sub = as_int64(active)
+    preds = as_int64(predicates)
+    objs = as_int64(objects)
+    bounds = as_int64(offsets)
     starts = bounds[:-1]
     last_edges = bounds[1:] - 1
     has_prefix = starts > 0
@@ -138,54 +133,6 @@ def _iterate_numpy(
             break
     _finish(stats, rounds, delta, converged, max_rounds)
     return w.tolist()
-
-
-def _iterate_python(
-    weights: list[float], active: list[int],
-    offsets: Sequence[int], predicates: Sequence[int], objects: Sequence[int],
-    epsilon: float, max_rounds: int, stats: WeightFixpointStats,
-) -> list[float]:
-    """Portable sweeps replaying the NumPy path addition-for-addition."""
-    w = weights
-    num_edges = len(predicates)
-    num_active = len(active)
-    sizes = [0.0] * num_edges
-    for k in range(num_active):
-        size = float(offsets[k + 1] - offsets[k])
-        for e in range(offsets[k], offsets[k + 1]):
-            sizes[e] = size
-    cumulative = [0.0] * num_edges
-    rounds = 0
-    delta = 0.0
-    converged = False
-    while rounds < max_rounds:
-        running = 0.0
-        for e in range(num_edges):
-            total = w[predicates[e]] + w[objects[e]]
-            if total > 1.0:
-                total = 1.0
-            running = running + total / sizes[e]
-            cumulative[e] = running
-        delta = 0.0
-        updates = [0.0] * num_active
-        for k in range(num_active):
-            start = offsets[k]
-            segment = cumulative[offsets[k + 1] - 1] - (
-                cumulative[start - 1] if start > 0 else 0.0
-            )
-            updated = segment if segment < 1.0 else 1.0
-            updates[k] = updated
-            change = abs(updated - w[active[k]])
-            if change > delta:
-                delta = change
-        for k in range(num_active):
-            w[active[k]] = updates[k]
-        rounds += 1
-        if delta < epsilon:
-            converged = True
-            break
-    _finish(stats, rounds, delta, converged, max_rounds)
-    return w
 
 
 def _iterate_generic(

@@ -15,13 +15,14 @@ Two properties make this the right compute shape:
   buffer, so one round is embarrassingly parallel — the shared-memory
   pool (:mod:`repro.experiments.ksig_shard`) shards the subset per node
   and every worker hashes its contiguous slice independently;
-* the signature payload is **byte-identical** to the dense engine's
-  recolor key (:mod:`repro.core.dense`): one ``int64`` buffer holding
-  ``[current color, sorted unique (p_color << 32) | o_color codes]``.
-  The NumPy builder and the pure-Python builder produce the same bytes,
-  so reference/dense engines and serial/sharded runs intern identical
-  color sequences — *byte-identical* partitions, not merely equivalent
-  ones.
+* the signature payload *is* the dense engine's recolor key: one
+  ``int64`` buffer holding ``[current color, sorted unique
+  (p_color << 32) | o_color codes]``.  ``engine="dense"`` hashes the
+  output of :func:`repro.core.dense.recolor_payloads` (and so needs
+  NumPy); ``engine="reference"`` builds the same bytes in pure Python.
+  Reference/dense engines and serial/sharded runs therefore intern
+  identical color sequences — *byte-identical* partitions, not merely
+  equivalent ones.
 
 Hashing is not free of risk: a signature collision would silently merge
 unrelated classes.  Every round therefore verifies the signatures
@@ -44,29 +45,15 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, Callable, Collection, Sequence
+from typing import Callable, Collection, Sequence
 
-from ..exceptions import (
-    ExperimentError,
-    PartitionError,
-    SignatureCollisionError,
-    UnknownEngineError,
-)
+from ..exceptions import ExperimentError, PartitionError, SignatureCollisionError
 from ..model.csr import CSRGraph, subset_mask
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition, label_partition
 from ..partition.interner import ColorInterner
+from .dense import as_int64, recolor_payloads, resolve_refine_engine
 from .refinement import check_interner_covers
-
-try:  # pragma: no cover - exercised implicitly by the engine tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
-#: Payload engines: ``"dense"`` vectorizes the payload build with NumPy
-#: when importable; ``"reference"`` always runs the portable loop.  Both
-#: produce byte-identical payloads (and therefore identical signatures).
-SIGNATURE_ENGINES: tuple[str, ...] = ("reference", "dense")
 
 #: A signature hasher: payload bytes -> non-negative int (63 bits used).
 SignatureHasher = Callable[[bytes], int]
@@ -173,12 +160,13 @@ def _payload_bounds_python(
     lo: int,
     hi: int,
 ) -> tuple[bytes, list[int]]:
-    """Portable payload builder for subset positions ``[lo, hi)``.
+    """The reference engine's payload builder for subset positions ``[lo, hi)``.
 
-    Returns one contiguous buffer of the shard's recolor-key payloads
-    plus the byte bound of each node's slice — the exact key layout of
-    the dense engine: ``array("q", [current color, *sorted unique
-    (p_color << 32) | o_color codes]).tobytes()``.
+    Pure Python, byte-identical to :func:`~repro.core.dense.recolor_payloads`:
+    one contiguous buffer of the shard's recolor-key payloads plus the
+    byte bound of each node's slice, every key laid out as
+    ``array("q", [current color, *sorted unique (p_color << 32) |
+    o_color codes]).tobytes()``.
     """
     chunks = bytearray()
     bounds = [0]
@@ -195,67 +183,6 @@ def _payload_bounds_python(
         chunks += array("q", block).tobytes()
         bounds.append(len(chunks))
     return bytes(chunks), bounds
-
-
-def _as_int64(buffer: Sequence[int]) -> Any:
-    """*buffer* as an int64 ndarray (zero-copy for arrays and views)."""
-    if isinstance(buffer, _np.ndarray):
-        return buffer
-    if isinstance(buffer, (array, bytes, memoryview)):
-        return _np.frombuffer(buffer, dtype=_np.int64)
-    return _np.asarray(buffer, dtype=_np.int64)
-
-
-def _payload_bounds_numpy(
-    colors: Sequence[int],
-    subset_ids: Sequence[int],
-    sub_offsets: Sequence[int],
-    sub_predicates: Sequence[int],
-    sub_objects: Sequence[int],
-    lo: int,
-    hi: int,
-) -> tuple[bytes, list[int]]:
-    """Vectorized payload builder, byte-identical to the portable one.
-
-    The shard's pair range is gathered and packed in one fancy-indexed
-    pass, ``lexsort`` orders the codes within each owner segment, a
-    shift-compare drops duplicates, and the payload buffer is assembled
-    as one contiguous int64 array (the dense engine's key layout).
-    """
-    colors_np = _as_int64(colors)
-    offsets = _as_int64(sub_offsets)[lo : hi + 1]
-    start = int(offsets[0])
-    end = int(offsets[-1])
-    preds = _as_int64(sub_predicates)[start:end]
-    objs = _as_int64(sub_objects)[start:end]
-    num = hi - lo
-    owner = _np.repeat(_np.arange(num), _np.diff(offsets))
-    codes = (colors_np[preds] << 32) | colors_np[objs]
-    order = _np.lexsort((codes, owner))
-    owner_sorted = owner[order]
-    codes_sorted = codes[order]
-    if len(codes_sorted):
-        keep = _np.empty(len(codes_sorted), dtype=bool)
-        keep[0] = True
-        keep[1:] = (owner_sorted[1:] != owner_sorted[:-1]) | (
-            codes_sorted[1:] != codes_sorted[:-1]
-        )
-        owner_kept = owner_sorted[keep]
-        codes_kept = codes_sorted[keep]
-    else:
-        owner_kept = owner_sorted
-        codes_kept = codes_sorted
-    counts = _np.bincount(owner_kept, minlength=num).astype(_np.int64)
-    bounds = _np.empty(num + 1, dtype=_np.int64)
-    bounds[0] = 0
-    _np.cumsum(counts + 1, out=bounds[1:])
-    combined = _np.empty(int(bounds[-1]), dtype=_np.int64)
-    head_positions = bounds[:-1]
-    combined[head_positions] = colors_np[_as_int64(subset_ids)[lo:hi]]
-    body_mask = _np.ones(len(combined), dtype=bool)
-    body_mask[head_positions] = False
-    combined[body_mask] = codes_kept
-    return combined.tobytes(), [int(b) * 8 for b in bounds]
 
 
 def shard_signatures(
@@ -279,14 +206,18 @@ def shard_signatures(
     arguments are the subset-restricted CSR arrays
     (:meth:`~repro.model.csr.CSRGraph.subgraph_pairs`).
     """
-    build = (
-        _payload_bounds_numpy
-        if engine == "dense" and _np is not None
-        else _payload_bounds_python
-    )
-    buffer, bounds = build(
-        colors, subset_ids, sub_offsets, sub_predicates, sub_objects, lo, hi
-    )
+    if engine == "dense":
+        buffer, bounds = recolor_payloads(
+            as_int64(colors),
+            as_int64(subset_ids)[lo:hi],
+            as_int64(sub_offsets)[lo : hi + 1],
+            as_int64(sub_predicates),
+            as_int64(sub_objects),
+        )
+    else:
+        buffer, bounds = _payload_bounds_python(
+            colors, subset_ids, sub_offsets, sub_predicates, sub_objects, lo, hi
+        )
     hash_one = hasher if hasher is not None else default_signature_hasher
     sigs = array("q")
     digests = bytearray()
@@ -398,11 +329,7 @@ def prepare_signature_run(
     from exactly this state, which is what makes their outputs
     byte-identical.
     """
-    if engine not in SIGNATURE_ENGINES:
-        raise UnknownEngineError(
-            f"unknown signature engine {engine!r}; "
-            f"expected one of {SIGNATURE_ENGINES}"
-        )
+    resolve_refine_engine(engine)  # UnknownEngineError; ConfigError without NumPy
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ExperimentError(f"k must be a non-negative integer, got {k!r}")
     if csr is not None and engine != "dense":
@@ -448,8 +375,9 @@ def ksignature_partition(
     yields a sound intermediate refinement (coarser than the fixpoint,
     monotonically finer in ``k``).
 
-    *engine* selects the payload builder (``"dense"`` vectorizes with
-    NumPy when importable); both engines produce byte-identical colors.
+    *engine* selects the payload builder (``"dense"``: the dense
+    engine's NumPy builder; ``"reference"``: pure Python); both engines
+    produce byte-identical colors.
     *csr* may hand a prebuilt snapshot of *graph* to the dense engine.
     *hasher* replaces the 63-bit BLAKE2b signature hasher (testing
     hook); collisions are detected against full-width digests either

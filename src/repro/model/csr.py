@@ -137,8 +137,9 @@ class CSRGraph:
         slices the pairs of ``dense_subset[k]``.  Used by the dense engine
         to touch only the refined subset's edges each round.
         """
-        if len(dense_subset) == self.num_nodes:
-            # A sorted full subset is the identity restriction.
+        num_nodes = self.num_nodes
+        if len(dense_subset) == num_nodes and list(dense_subset) == list(range(num_nodes)):
+            # Only the in-order full subset is the identity restriction.
             return self.out_offsets, self.out_predicates, self.out_objects
         offsets = array(INDEX_TYPECODE, [0])
         predicates = array(INDEX_TYPECODE)
@@ -257,19 +258,11 @@ class CSRGraph:
 
 
 def _concat_shifted(first: array, second: array, offset: int) -> array:
-    """``first + (second + offset)`` on index arrays (NumPy when available)."""
-    out = array(INDEX_TYPECODE, first)
-    try:
-        import numpy
+    """``first + (second + offset)`` on index arrays (dense engine: NumPy)."""
+    import numpy
 
-        out.extend(
-            array(
-                INDEX_TYPECODE,
-                (numpy.frombuffer(second, dtype=numpy.int64) + offset).tobytes(),
-            )
-        )
-    except ImportError:
-        out.extend(v + offset for v in second)
+    out = array(INDEX_TYPECODE, first)
+    out.frombytes((numpy.frombuffer(second, dtype=numpy.int64) + offset).tobytes())
     return out
 
 

@@ -1,5 +1,13 @@
 """Similarity alignment: σEdit, weighted partitions, enrichment, overlap."""
 
+from ..oplus import (
+    OPERATORS,
+    OplusOperator,
+    oplus,
+    oplus_max,
+    oplus_probabilistic,
+    oplus_sum,
+)
 from .edit_distance import EditDistance
 from .enrichment import (
     WeightedBipartiteGraph,
@@ -8,14 +16,6 @@ from .enrichment import (
     shortest_distances,
 )
 from .hungarian import matching_with_deletion, solve_assignment
-from .oplus import (
-    OPERATORS,
-    OplusOperator,
-    oplus,
-    oplus_max,
-    oplus_probabilistic,
-    oplus_sum,
-)
 from .overlap import (
     overlap_coefficient,
     overlap_match,

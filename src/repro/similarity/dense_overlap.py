@@ -36,22 +36,22 @@ counts; ``tests/test_overlap_dense.py`` asserts the parity and
 
 from __future__ import annotations
 
-from ..core.dense import refine_colors
+from ..core.dense import as_int64, refine_colors
 from ..core.dense_weights import dense_weight_fixpoint
 from ..core.refinement import WeightFixpointStats
 from ..model.csr import CSRGraph
 from ..model.graph import NodeId
 from ..model.union import CombinedGraph
+from ..oplus import OplusOperator, oplus, oplus_sum
 from ..partition.coloring import Partition
 from ..partition.interner import ColorInterner
 from ..partition.weighted import WeightedPartition
 from .enrichment import component_weights
-from .oplus import OplusOperator, oplus, oplus_sum
 from .overlap import ProbeRule, overlap_match
 from .string_distance import split_words
 from .weighted_refine import DEFAULT_EPSILON
 
-try:  # pragma: no cover - exercised implicitly by the engine tests
+try:  # pragma: no cover - the package imports without NumPy
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -153,7 +153,7 @@ class _NonLiteralRound:
     """
 
     __slots__ = (
-        "_csr", "_colors", "_weights", "_operator",
+        "_csr", "_weights", "_operator",
         "_codes", "_pair_weights", "_chars", "_groups",
     )
 
@@ -165,38 +165,25 @@ class _NonLiteralRound:
         operator: OplusOperator,
     ) -> None:
         self._csr = csr
-        self._colors = colors
         self._weights = weights
         self._operator = operator
         self._chars: dict[int, frozenset[int]] = {}
         self._groups: dict[int, dict[int, list[float]]] = {}
-        if _np is not None:
-            colors_np = _np.array(colors, dtype=_np.int64)
-            preds = _np.frombuffer(csr.out_predicates, dtype=_np.int64)
-            objs = _np.frombuffer(csr.out_objects, dtype=_np.int64)
-            self._codes = ((colors_np[preds] << 32) | colors_np[objs])
-            if operator is oplus:
-                weights_np = _np.array(weights, dtype=_np.float64)
-                self._pair_weights = _np.minimum(
-                    weights_np[preds] + weights_np[objs], 1.0
-                )
-            else:
-                self._pair_weights = None
-        else:
-            self._codes = None
-            self._pair_weights = None
+        colors_np = _np.array(colors, dtype=_np.int64)
+        preds = as_int64(csr.out_predicates)
+        objs = as_int64(csr.out_objects)
+        self._codes = (colors_np[preds] << 32) | colors_np[objs]
+        self._pair_weights = None
+        if operator is oplus:
+            weights_np = _np.array(weights, dtype=_np.float64)
+            self._pair_weights = _np.minimum(
+                weights_np[preds] + weights_np[objs], 1.0
+            )
 
     # -- per-node views (lazy, memoized for the round) -------------------
     def _code_slice(self, dense: int) -> list[int]:
         start, end = self._csr.out_slice(dense)
-        if self._codes is not None:
-            return self._codes[start:end].tolist()
-        colors = self._colors
-        csr = self._csr
-        return [
-            (colors[csr.out_predicates[e]] << 32) | colors[csr.out_objects[e]]
-            for e in range(start, end)
-        ]
+        return self._codes[start:end].tolist()
 
     def characterize(self, node: NodeId) -> frozenset[int]:
         """``out-color_ξ(n)`` as packed integer codes."""

@@ -33,11 +33,11 @@ from ..exceptions import ExperimentError
 from ..model.graph import NodeId
 from ..model.labels import Literal
 from ..model.union import CombinedGraph
+from ..oplus import oplus
 from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
 from ..partition.interner import ColorInterner
 from .hungarian import matching_with_deletion
-from .oplus import oplus
 from .string_distance import normalized_levenshtein
 
 

@@ -32,12 +32,12 @@ from ..exceptions import ExperimentError
 from ..model.graph import NodeId
 from ..model.labels import Literal
 from ..model.union import CombinedGraph
+from ..oplus import OplusOperator, oplus, oplus_sum
 from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
 from ..partition.interner import Color, ColorInterner
 from ..partition.weighted import WeightedPartition, zero_weighted
 from .enrichment import WeightedBipartiteGraph, enrich
-from .oplus import OplusOperator, oplus, oplus_sum
 from .overlap import ProbeRule, overlap_match
 from .string_distance import normalized_levenshtein, split_words
 from .weighted_refine import DEFAULT_EPSILON, propagate

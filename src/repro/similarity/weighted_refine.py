@@ -34,10 +34,10 @@ from typing import Collection
 from ..core.refinement import WeightFixpointStats, _warn_weight_truncated
 from ..model.graph import NodeId, TripleGraph
 from ..model.union import CombinedGraph
+from ..oplus import OplusOperator, oplus, oplus_sum
 from ..partition.alignment import unaligned_non_literals
 from ..partition.interner import ColorInterner
 from ..partition.weighted import WeightedPartition
-from .oplus import OplusOperator, oplus, oplus_sum
 
 #: Weight-stabilization tolerance (paper: "some fixed small value ε > 0").
 DEFAULT_EPSILON = 1e-9

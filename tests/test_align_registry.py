@@ -16,7 +16,6 @@ from repro.align import (
     unregister_method,
 )
 from repro.align.results import BaselineResult, PairAlignment
-from repro.api import METHOD_ORDER
 from repro.exceptions import ConfigError, UnknownMethodError
 
 
@@ -26,9 +25,6 @@ class TestBuiltins:
             "trivial", "deblank", "hybrid", "overlap",
             "bisim", "kbisim", "kbisim_deblank",
         )
-
-    def test_method_order_derives_legacy_constant(self):
-        assert METHOD_ORDER == method_order()
 
     def test_baselines_registered(self):
         names = method_names()

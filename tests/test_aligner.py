@@ -1,36 +1,16 @@
-"""The Aligner session API: parity with the legacy facade, reports, caching.
-
-The parity suite is the acceptance gate of the api_redesign: for every
-method × engine, ``Aligner`` + registry must produce *byte-identical*
-:class:`~repro.align.report.AlignmentReport` JSON to the legacy
-``align_versions``/``align_many`` paths.
-"""
+"""The Aligner session API: sessions, caches and reports."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
-from repro import align_many, align_versions
-from repro.align import (
-    AlignConfig,
-    Aligner,
-    AlignmentReport,
-    method_order,
-)
+from repro.align import AlignConfig, Aligner, AlignmentReport
 from repro.align.report import SCHEMA, SCHEMA_VERSION
 from repro.exceptions import ReportError
 from repro.io import ntriples
 from repro.model import blank, lit, uri
-
-
-def _legacy(function, *args, **kwargs):
-    """Call the deprecated facade without polluting the warning state."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return function(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -38,60 +18,6 @@ def gtopdb_graphs():
     from repro.datasets.gtopdb import GtoPdbGenerator
 
     return GtoPdbGenerator(scale=0.12, seed=2016, versions=4).graphs()
-
-
-class TestParityWithLegacyFacade:
-    @pytest.mark.parametrize("method", method_order())
-    @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_reports_byte_identical_to_align_versions(
-        self, gtopdb_graphs, method, engine
-    ):
-        config = AlignConfig(method=method, engine=engine)
-        session = Aligner(config).align(gtopdb_graphs[0], gtopdb_graphs[1])
-        legacy = _legacy(
-            align_versions,
-            gtopdb_graphs[0],
-            gtopdb_graphs[1],
-            method=method,
-            engine=engine,
-        )
-        session_json = session.report(config).to_json()
-        legacy_json = AlignmentReport.from_result(legacy, config).to_json()
-        assert session_json == legacy_json
-
-    @pytest.mark.parametrize("method", method_order())
-    @pytest.mark.parametrize("engine", ["reference", "dense"])
-    def test_reports_byte_identical_to_align_many(
-        self, gtopdb_graphs, method, engine
-    ):
-        config = AlignConfig(method=method, engine=engine)
-        batch = Aligner(config).align_many(gtopdb_graphs[0], gtopdb_graphs[1:])
-        legacy = _legacy(
-            align_many,
-            gtopdb_graphs[0],
-            gtopdb_graphs[1:],
-            method=method,
-            engine=engine,
-        )
-        assert len(batch) == len(legacy) == 3
-        for mine, theirs in zip(batch, legacy):
-            assert (
-                mine.report(config).to_json()
-                == AlignmentReport.from_result(theirs, config).to_json()
-            )
-
-    def test_overlap_theta_sweep_parity(self, figure7_graphs):
-        source, target = figure7_graphs
-        aligner = Aligner(AlignConfig(method="overlap"))
-        for theta in (0.35, 0.65, 0.95):
-            session = aligner.evolve(theta=theta).align(source, target)
-            legacy = _legacy(
-                align_versions, source, target, method="overlap", theta=theta
-            )
-            config = aligner.config.evolve(theta=theta)
-            assert session.report(config).to_json() == (
-                AlignmentReport.from_result(legacy, config).to_json()
-            )
 
 
 class TestSession:

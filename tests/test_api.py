@@ -1,16 +1,14 @@
-"""Tests for the high-level facade (repro.api) and the CLI (repro.cli)."""
+"""End-to-end alignment through the session API and the CLI (repro.cli)."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro import align_many, align_versions
-from repro.api import METHOD_ORDER
+from repro import Aligner
+from repro.align import method_order
 from repro.cli import main
 from repro.io import ntriples
-from repro.model import blank, lit, uri
+from repro.model import blank, uri
 from repro.similarity.string_distance import character_set
 
 
@@ -19,14 +17,14 @@ class TestAlignVersions:
         source, target = figure3_graphs
         pair_sets = {}
         for method in ("trivial", "deblank", "hybrid"):
-            result = align_versions(source, target, method=method)
+            result = Aligner(method=method).align(source, target)
             pair_sets[method] = set(result.alignment.pairs())
         assert pair_sets["trivial"] <= pair_sets["deblank"] <= pair_sets["hybrid"]
 
     def test_overlap_returns_weighted(self, figure7_graphs):
         source, target = figure7_graphs
-        result = align_versions(
-            source, target, method="overlap", splitter=character_set
+        result = Aligner(method="overlap", splitter=character_set).align(
+            source, target
         )
         assert result.weighted is not None
         assert result.trace is not None
@@ -35,7 +33,7 @@ class TestAlignVersions:
     def test_figure1_story(self, figure1_graphs):
         """The paper's opening example end to end."""
         source, target = figure1_graphs
-        result = align_versions(source, target, method="hybrid")
+        result = Aligner(method="hybrid").align(source, target)
         graph = result.graph
         # Bisimulation aligns the address records b1/b3.
         assert result.alignment.aligned(
@@ -58,7 +56,7 @@ class TestAlignVersions:
         from repro.similarity.edit_distance import EditDistance
 
         source, target = figure1_graphs
-        hybrid = align_versions(source, target, method="hybrid")
+        hybrid = Aligner(method="hybrid").align(source, target)
         graph = hybrid.graph
         b2 = graph.from_source(blank("b2"))
         b4 = graph.from_target(blank("b4"))
@@ -68,7 +66,7 @@ class TestAlignVersions:
         assert edit.distance(b2, b4) == pytest.approx(0.5)
         assert (b2, b4) in {(n, m) for n, m, __ in edit.aligned_pairs(theta=0.5)}
 
-        overlap = align_versions(source, target, method="overlap", theta=0.7)
+        overlap = Aligner(method="overlap", theta=0.7).align(source, target)
         graph = overlap.graph
         assert not overlap.alignment.aligned(
             graph.from_source(blank("b2")), graph.from_target(blank("b4"))
@@ -79,98 +77,65 @@ class TestAlignVersions:
 
         # The precise new type, still catchable as the legacy one.
         with pytest.raises(UnknownMethodError):
-            align_versions(*figure3_graphs, method="bogus")  # type: ignore[arg-type]
+            Aligner(method="bogus").align(*figure3_graphs)
         with pytest.raises(ExperimentError):
-            align_versions(*figure3_graphs, method="bogus")  # type: ignore[arg-type]
+            Aligner(method="bogus").align(*figure3_graphs)
 
     def test_unknown_engine(self, figure3_graphs):
         from repro.exceptions import ExperimentError, UnknownEngineError
 
         with pytest.raises(UnknownEngineError):
-            align_versions(*figure3_graphs, engine="sparse")  # type: ignore[arg-type]
+            Aligner(engine="sparse").align(*figure3_graphs)
         with pytest.raises(ExperimentError):
-            align_versions(*figure3_graphs, engine="sparse")  # type: ignore[arg-type]
+            Aligner(engine="sparse").align(*figure3_graphs)
 
     def test_theta_out_of_range(self, figure3_graphs):
         from repro.exceptions import ThresholdError
 
         with pytest.raises(ThresholdError):
-            align_versions(*figure3_graphs, method="overlap", theta=1.5)
+            Aligner(method="overlap", theta=1.5).align(*figure3_graphs)
 
     def test_unaligned_counts(self, figure3_graphs):
-        result = align_versions(*figure3_graphs, method="trivial")
+        result = Aligner(method="trivial").align(*figure3_graphs)
         unaligned_source, unaligned_target = result.unaligned_counts()
         assert unaligned_source > 0 and unaligned_target > 0
 
     def test_method_order_constant(self):
-        assert METHOD_ORDER == (
+        assert method_order() == (
             "trivial", "deblank", "hybrid", "overlap",
             "bisim", "kbisim", "kbisim_deblank",
         )
 
 
-class TestDeprecatedFacade:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        """Reset the once-per-process latch around each test."""
-        from repro import api
-
-        previous = api._DEPRECATION_WARNED
-        api._DEPRECATION_WARNED = False
-        yield
-        api._DEPRECATION_WARNED = previous
-
-    def test_facade_warns_exactly_once(self, figure3_graphs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            align_versions(*figure3_graphs, method="trivial")
-            align_versions(*figure3_graphs, method="trivial")
-            align_many(figure3_graphs[0], [figure3_graphs[1]], method="trivial")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "Aligner" in str(deprecations[0].message)
-
-    def test_session_api_never_warns(self, figure3_graphs):
-        from repro.align import AlignConfig, Aligner
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Aligner(AlignConfig(method="trivial")).align(*figure3_graphs)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-
 class TestAlignMany:
-    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("method", method_order())
     @pytest.mark.parametrize("engine", ["reference", "dense"])
     def test_matches_align_versions(self, method, engine):
         from repro.datasets.gtopdb import GtoPdbGenerator
 
         graphs = GtoPdbGenerator(scale=0.12, seed=2016, versions=4).graphs()
-        batch = align_many(graphs[0], graphs[1:], method=method, engine=engine)
+        aligner = Aligner(method=method, engine=engine)
+        batch = aligner.align_many(graphs[0], graphs[1:])
         assert len(batch) == 3
         for target, result in zip(graphs[1:], batch):
-            single = align_versions(graphs[0], target, method=method, engine=engine)
+            single = Aligner(method=method, engine=engine).align(graphs[0], target)
             assert result.partition.equivalent_to(single.partition)
             assert result.matched_entities() == single.matched_entities()
             assert result.unaligned_counts() == single.unaligned_counts()
 
     def test_empty_target_list(self, figure3_graphs):
-        assert align_many(figure3_graphs[0], []) == []
+        assert Aligner().align_many(figure3_graphs[0], []) == []
 
     def test_bad_engine_fails_fast(self, figure3_graphs):
         from repro.exceptions import ReproError
 
         with pytest.raises(ReproError):
-            align_many(figure3_graphs[0], [figure3_graphs[1]], engine="nope")
+            Aligner(engine="nope").align_many(figure3_graphs[0], [figure3_graphs[1]])
 
     def test_overlap_batch_shares_literal_characterization(self, figure1_graphs):
         source, target = figure1_graphs
-        batch = align_many(source, [target, target], method="overlap")
-        single = align_versions(source, target, method="overlap")
+        batch = Aligner(method="overlap").align_many(source, [target, target])
+        single = Aligner(method="overlap").align(source, target)
         for result in batch:
             assert result.partition.equivalent_to(single.partition)
             assert result.weighted is not None

@@ -97,3 +97,19 @@ class TestColorsAndSubsets:
         assert offsets[-1] == len(predicates) == len(objects)
         total = sum(csr.out_degree(dense) for dense in subset)
         assert offsets[-1] == total
+
+    @pytest.mark.parametrize("order", ["reversed", "repeated"])
+    def test_subgraph_pairs_other_full_length_subsets(self, small_graph, order):
+        """Only ``0..n-1`` is the identity; any other subset of length n
+        (permuted, or with duplicates) is restricted slot by slot."""
+        csr = CSRGraph(small_graph)
+        n = csr.num_nodes
+        subset = list(reversed(range(n))) if order == "reversed" else [0] * n
+        offsets, predicates, objects = csr.subgraph_pairs(subset)
+        assert offsets is not csr.out_offsets
+        assert len(offsets) == n + 1
+        for k, dense in enumerate(subset):
+            start, end = csr.out_slice(dense)
+            mine = slice(offsets[k], offsets[k + 1])
+            assert list(predicates[mine]) == list(csr.out_predicates[start:end])
+            assert list(objects[mine]) == list(csr.out_objects[start:end])

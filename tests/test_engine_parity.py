@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.api import METHOD_ORDER, align_versions
+from repro.align import Aligner, method_order
 from repro.core.bisimulation import bisimulation_partition
 from repro.core.deblank import deblank_partition
 from repro.core.dense import dense_refine_fixpoint, resolve_refine_engine
@@ -43,26 +43,24 @@ def workload(seed: int) -> tuple[RDFGraph, RDFGraph]:
 
 class TestAlignmentParity:
     @pytest.mark.parametrize("seed", [1, 7, 42])
-    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("method", method_order())
     def test_methods_equivalent_across_engines(self, method, seed):
         source, target = workload(seed)
-        reference = align_versions(source, target, method=method)
-        dense = align_versions(source, target, method=method, engine="dense")
+        reference = Aligner(method=method).align(source, target)
+        dense = Aligner(method=method, engine="dense").align(source, target)
         assert dense.partition.equivalent_to(reference.partition)
         assert dense.matched_entities() == reference.matched_entities()
         assert dense.unaligned_counts() == reference.unaligned_counts()
 
     def test_result_records_engine(self):
         source, target = workload(3)
-        assert align_versions(source, target).engine == "reference"
-        assert (
-            align_versions(source, target, engine="dense").engine == "dense"
-        )
+        assert Aligner().align(source, target).engine == "reference"
+        assert Aligner(engine="dense").align(source, target).engine == "dense"
 
     def test_unknown_engine_rejected(self):
         source, target = workload(3)
         with pytest.raises(ExperimentError):
-            align_versions(source, target, engine="sparse")  # type: ignore[arg-type]
+            Aligner(engine="sparse").align(source, target)
         with pytest.raises(ExperimentError):
             resolve_refine_engine("sparse")
 
@@ -116,34 +114,6 @@ class TestFixpointParity:
         for node in graph.nodes():
             if node not in subset:
                 assert refined[node] == initial[node]
-
-    @pytest.mark.parametrize("seed", [4, 17])
-    def test_pure_python_fallback_matches_numpy_path(self, seed, monkeypatch):
-        """The no-NumPy loop is a real shipping path; pin it byte-for-byte.
-
-        With identical fresh interners, both loops must intern identical
-        byte keys in identical order, so the partitions must be *equal*,
-        not merely equivalent.
-        """
-        import repro.core.dense as dense_module
-
-        source, target = workload(seed)
-        union = combine(source, target)
-
-        def run():
-            interner = ColorInterner()
-            return dense_refine_fixpoint(
-                union, label_partition(union, interner), None, interner
-            )
-
-        vectorized = run()
-        monkeypatch.setattr(dense_module, "_np", None)
-        portable = run()
-        assert portable.as_dict() == vectorized.as_dict()
-        # And the fallback still refines the blank subset correctly.
-        assert deblank_partition(union, engine="dense").equivalent_to(
-            deblank_partition(union)
-        )
 
     def test_seeded_interner_path(self, rng):
         """Without an interner, foreign colors are re-seeded (as reference)."""

@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 from repro.align import AlignConfig, Aligner
 from repro.core.bisimulation import bisimulation_partition
 from repro.core.deblank import deblank_partition
+from repro.core.dense import REFINEMENT_ENGINES
 from repro.core.ksignature import (
-    SIGNATURE_ENGINES,
     SignatureStats,
     SignatureVerifier,
     default_signature_hasher,
@@ -57,6 +57,9 @@ from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
 
 COMMON = dict(max_examples=30, deadline=None)
+
+#: Both payload engines, in registry order ("reference", "dense").
+ENGINES = tuple(REFINEMENT_ENGINES)
 
 _URIS = [f"n{i}" for i in range(6)]
 _PREDICATES = ["p", "q", "r"]
@@ -126,7 +129,7 @@ def _large_k(graph: RDFGraph) -> int:
 # ---------------------------------------------------------------------------
 class TestFixpointEquivalence:
     @settings(**COMMON)
-    @given(graph=rdf_graphs(), engine=st.sampled_from(SIGNATURE_ENGINES))
+    @given(graph=rdf_graphs(), engine=st.sampled_from(ENGINES))
     def test_large_k_equals_full_bisimulation(self, graph, engine):
         stats = SignatureStats()
         partition = ksignature_partition(
@@ -136,7 +139,7 @@ class TestFixpointEquivalence:
         assert partition.equivalent_to(bisimulation_partition(graph))
 
     @settings(**COMMON)
-    @given(graph=blank_cycle_graphs(), engine=st.sampled_from(SIGNATURE_ENGINES))
+    @given(graph=blank_cycle_graphs(), engine=st.sampled_from(ENGINES))
     def test_large_k_equals_fixpoint_on_blank_cycles(self, graph, engine):
         partition = ksignature_partition(
             graph, k=_large_k(graph), engine=engine
@@ -166,7 +169,7 @@ class TestEngineParity:
         assert reference.as_dict() == dense.as_dict()
 
     @pytest.mark.skipif(not pooled_available(), reason="no shared memory")
-    @pytest.mark.parametrize("engine", SIGNATURE_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_pooled_colors_match_serial(self, engine, jobs):
         graph = RDFGraph()
@@ -295,7 +298,7 @@ class TestRelabelInvariance:
 # ---------------------------------------------------------------------------
 class TestCollisionDetection:
     @settings(**COMMON)
-    @given(graph=rdf_graphs(), engine=st.sampled_from(SIGNATURE_ENGINES))
+    @given(graph=rdf_graphs(), engine=st.sampled_from(ENGINES))
     def test_constant_hasher_is_detected_not_merged(self, graph, engine):
         """With >= 2 label classes a constant signature must collide in
         round one (distinct payloads, one hash value) and raise."""

@@ -3,7 +3,7 @@
 Three layers are pinned here:
 
 * the dense weight iterator's edge cases (sinks, empty subsets, the ε
-  boundary, NumPy-vs-fallback bit equality, truncation signalling);
+  boundary, truncation signalling, subsets out of dense order);
 * the incremental :class:`AlignmentTracker` against brute-force side
   scans under random recoloring;
 * full Algorithm 2 parity: ``engine="dense"`` must reproduce the
@@ -18,18 +18,18 @@ import random
 
 import pytest
 
-from repro.api import align_versions
+from repro.align import Aligner
 from repro.core.dense_weights import dense_weight_fixpoint
 from repro.core.refinement import WeightFixpointStats
 from repro.datasets.mutations import mutation_workload
 from repro.model import RDFGraph, combine, lit, uri
 from repro.model.csr import CSRGraph
 from repro.model.union import CombinedGraph
+from repro.oplus import oplus_probabilistic
 from repro.partition.alignment import PartitionAlignment
 from repro.partition.coloring import Partition
 from repro.partition.interner import ColorInterner
 from repro.similarity.dense_overlap import AlignmentTracker
-from repro.similarity.oplus import oplus_probabilistic
 from repro.similarity.string_distance import character_set
 from repro.similarity.weighted_refine import weighted_refine_fixpoint
 from repro.partition.weighted import WeightedPartition
@@ -122,31 +122,24 @@ class TestDenseWeightFixpoint:
             "weight iteration" in record.message for record in caplog.records
         )
 
-    def test_numpy_and_fallback_agree_exactly(self, monkeypatch):
-        """The pure-Python loop replays the NumPy path bit-for-bit."""
-        import repro.core.dense_weights as dense_weights
-
-        rng = random.Random(99)
-        graph = random_rdf_graph(
-            rng, num_uris=12, num_literals=8, num_blanks=8, num_edges=60
-        )
-        csr = CSRGraph(graph)
-        weights = [rng.random() for _ in range(csr.num_nodes)]
-        subset = sorted(
-            rng.sample(range(csr.num_nodes), csr.num_nodes // 2)
-        )
-
-        def run():
-            return dense_weight_fixpoint(
-                csr, list(weights), subset, epsilon=1e-9
+    def test_subset_out_of_dense_order(self):
+        """Each node is swept over its own out-pairs, whatever the subset
+        order: a permuted full-length subset is not the identity."""
+        a, b, c = uri("a"), uri("b"), uri("c")
+        g = RDFGraph()
+        g.add(a, b, c)
+        g.add(b, c, a)
+        g.add(c, a, a)
+        g.add(c, b, b)
+        csr = CSRGraph(g)
+        assert csr.dense_ids([a, b, c]) == [0, 1, 2]
+        weights = [0.1, 0.7, 0.3]
+        for subset in ([0, 1, 2], [2, 1, 0]):
+            swept = dense_weight_fixpoint(
+                csr, weights, subset, epsilon=1e-9, max_rounds=1
             )
-
-        if dense_weights._np is None:
-            pytest.skip("NumPy unavailable; only the fallback path exists")
-        vectorized = run()
-        monkeypatch.setattr(dense_weights, "_np", None)
-        portable = run()
-        assert portable == vectorized  # exact float equality, not approx
+            # a: 0.7 ⊕ 0.3; b: 0.3 ⊕ 0.1; c: (0.1 ⊕ 0.1)/2 + (0.7 ⊕ 0.7)/2.
+            assert swept == pytest.approx([1.0, 0.4, 0.6])
 
     def test_generic_operator_matches_reference(self):
         """Non-default ⊕ operators take the fold path; pin it against the
@@ -219,7 +212,7 @@ class TestAlignmentTracker:
     def test_matches_partition_alignment_on_real_graph(self):
         source, target = mutation_workload(4)
         union = combine(source, target)
-        result = align_versions(source, target, method="hybrid")
+        result = Aligner(method="hybrid").align(source, target)
         csr = CSRGraph(result.graph)
         colors = csr.gather_colors(result.partition.as_dict())
         is_source = [node in result.graph.source_nodes for node in csr.nodes]
@@ -256,8 +249,8 @@ class TestDenseOverlapParity:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_mutation_workloads(self, seed):
         source, target = mutation_workload(seed)
-        reference = align_versions(source, target, method="overlap")
-        dense = align_versions(source, target, method="overlap", engine="dense")
+        reference = Aligner(method="overlap").align(source, target)
+        dense = Aligner(method="overlap", engine="dense").align(source, target)
         assert dense.partition.equivalent_to(reference.partition)
         assert dense.matched_entities() == reference.matched_entities()
         assert dense.unaligned_counts() == reference.unaligned_counts()
@@ -305,29 +298,12 @@ class TestDenseOverlapParity:
     def test_both_engines_record_weight_stats(self):
         source, target = mutation_workload(8)
         for engine in ("reference", "dense"):
-            result = align_versions(
-                source, target, method="overlap", engine=engine
-            )
+            result = Aligner(method="overlap", engine=engine).align(source, target)
             trace = result.trace
             assert len(trace.weight_stats) == trace.total_rounds
             assert all(stats.converged for stats in trace.weight_stats)
             assert trace.weight_truncations == 0
             assert all(stats.engine == engine for stats in trace.weight_stats)
-
-    def test_pure_python_pipeline_matches_reference(self, monkeypatch):
-        """The dense loop without NumPy is a real shipping path too."""
-        import repro.core.dense as dense_module
-        import repro.core.dense_weights as dense_weights_module
-        import repro.similarity.dense_overlap as dense_overlap_module
-
-        monkeypatch.setattr(dense_module, "_np", None)
-        monkeypatch.setattr(dense_weights_module, "_np", None)
-        monkeypatch.setattr(dense_overlap_module, "_np", None)
-        source, target = mutation_workload(11)
-        reference = align_versions(source, target, method="overlap")
-        dense = align_versions(source, target, method="overlap", engine="dense")
-        assert dense.partition.equivalent_to(reference.partition)
-        assert dense.trace.rounds == reference.trace.rounds
 
     def test_csr_rejected_for_reference_engine(self):
         from repro.core.hybrid import hybrid_partition
