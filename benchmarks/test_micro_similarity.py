@@ -3,6 +3,7 @@
 * Levenshtein variants (plain / banded / bounded-normalized),
 * our Hungarian implementation vs scipy's ``linear_sum_assignment``,
 * the overlap heuristic's probe rules (paper ``⌈kθ⌉`` vs classical safe),
+* ``Enrich`` on a close-pair graph with one large component,
 * σEdit matrix cost growth — the quadratic blow-up the overlap alignment
   exists to avoid.
 """
@@ -16,7 +17,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from repro.model import RDFGraph, combine, lit, uri
+from repro.partition.coloring import Partition
+from repro.partition.interner import ColorInterner
+from repro.partition.weighted import zero_weighted
 from repro.similarity.edit_distance import EditDistance
+from repro.similarity.enrichment import WeightedBipartiteGraph, enrich
 from repro.similarity.hungarian import solve_assignment
 from repro.similarity.overlap import overlap_match
 from repro.similarity.string_distance import (
@@ -140,6 +145,60 @@ def test_overlap_match_probe_rules(benchmark, overlap_workload, probe):
 
     result = benchmark(run)
     assert len(result) > 0
+
+
+@pytest.fixture(scope="module")
+def close_pair_edges():
+    """A close-pair graph shaped like the first Enrich step of a scale-free
+    overlap alignment: ~1,000 edges in ~200 components, one of ~300 nodes."""
+    rng = random.Random(19)
+    edges: dict[tuple[str, str], float] = {}
+
+    def distance() -> float:
+        return rng.uniform(0.04, 0.65)
+
+    # The large component: a random spanning tree over 150 + 150 nodes,
+    # then extra edges up to 400.
+    sources = [f"big-a{i}" for i in range(150)]
+    targets = [f"big-b{i}" for i in range(150)]
+    edges[(sources[0], targets[0])] = distance()
+    for i in range(1, 150):
+        edges[(sources[i], rng.choice(targets[:i]))] = distance()
+        edges[(rng.choice(sources[: i + 1]), targets[i])] = distance()
+    while len(edges) < 400:
+        edges[(rng.choice(sources), rng.choice(targets))] = distance()
+    # 195 small components of 1–3 nodes a side.
+    for component in range(195):
+        side_a = [f"c{component}-a{i}" for i in range(rng.randint(1, 3))]
+        side_b = [f"c{component}-b{i}" for i in range(rng.randint(1, 3))]
+        for source in side_a:
+            edges[(source, rng.choice(side_b))] = distance()
+        for target in side_b:
+            edges[(rng.choice(side_a), target)] = distance()
+    return edges
+
+
+def test_enrich_components(benchmark, close_pair_edges):
+    """Enrich on a fresh graph per run, so no cached adjacency carries over.
+
+    Report-only: the autouse fixture records the timing, no gate applies.
+    """
+    interner = ColorInterner()
+    nodes = sorted({node for pair in close_pair_edges for node in pair})
+    weighted = zero_weighted(
+        Partition({node: interner.node_color(node) for node in nodes})
+    )
+
+    def run():
+        return enrich(
+            weighted, WeightedBipartiteGraph(close_pair_edges), interner, generation=1
+        )
+
+    enriched = benchmark(run)
+    components = WeightedBipartiteGraph(close_pair_edges).components()
+    assert len(components) >= 196
+    assert max(len(component) for component in components) == 300
+    assert len({enriched.color(node) for node in nodes}) == len(components)
 
 
 @pytest.mark.parametrize("unaligned", [8, 16, 32])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model import RDFGraph, combine, lit, uri
 from repro.oplus import oplus
@@ -19,6 +23,56 @@ from repro.similarity.enrichment import (
 
 def bipartite(edges: dict) -> WeightedBipartiteGraph:
     return WeightedBipartiteGraph(edges)
+
+
+def brute_force_weights(h: WeightedBipartiteGraph, component: frozenset) -> dict:
+    """The oracle: a full Dijkstra from every member over all of H, capped
+    at 1, then half the largest distance to the other side."""
+    adjacency = h.adjacency()
+
+    def capped_distances(start):
+        distances = {start: 0.0}
+        queue = [(0.0, 0, start)]
+        counter = 0
+        while queue:
+            distance, __, node = heapq.heappop(queue)
+            if distance > distances[node]:
+                continue
+            for neighbor, edge_distance in adjacency[node]:
+                candidate = distance + edge_distance
+                if candidate < distances.get(neighbor, float("inf")):
+                    distances[neighbor] = candidate
+                    counter += 1
+                    heapq.heappush(queue, (candidate, counter, neighbor))
+        return {node: min(d, 1.0) for node, d in distances.items()}
+
+    sources = h.source_nodes & component
+    targets = h.target_nodes & component
+    weights = {}
+    for source in sources:
+        reachable = capped_distances(source)
+        weights[source] = max(reachable.get(target, 1.0) for target in targets) / 2.0
+    for target in targets:
+        reachable = capped_distances(target)
+        weights[target] = max(reachable.get(source, 1.0) for source in sources) / 2.0
+    return weights
+
+
+@st.composite
+def close_pair_graphs(draw) -> WeightedBipartiteGraph:
+    """1–12 nodes a side, up to 30 edges; some paths cross the ⊕ cap."""
+    sources = draw(st.integers(1, 12))
+    targets = draw(st.integers(1, 12))
+    pair = st.tuples(
+        st.integers(0, sources - 1).map(lambda i: f"a{i}"),
+        st.integers(0, targets - 1).map(lambda i: f"b{i}"),
+    )
+    distance = st.one_of(
+        st.just(0.0),
+        st.just(1 / 3),
+        st.floats(0.0, 0.7, exclude_max=True),
+    )
+    return bipartite(draw(st.dictionaries(pair, distance, min_size=1, max_size=30)))
 
 
 class TestBipartiteGraph:
@@ -84,6 +138,12 @@ class TestComponentWeights:
             d_star = shortest_distances(h, source)[target]
             assert d_star <= oplus(weights[source], weights[target]) + 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(close_pair_graphs())
+    def test_equals_brute_force_bit_for_bit(self, h):
+        for component in h.components():
+            assert component_weights(h, component) == brute_force_weights(h, component)
+
 
 class TestEnrich:
     def _setup(self):
@@ -127,3 +187,29 @@ class TestEnrich:
         first = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=1)
         second = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=2)
         assert first.color(a) != second.color(a)
+
+    def test_enrich_builds_the_adjacency_once(self, monkeypatch):
+        build = WeightedBipartiteGraph.adjacency
+        calls = []
+
+        def counting(graph):
+            calls.append(None)
+            return build(graph)
+
+        monkeypatch.setattr(WeightedBipartiteGraph, "adjacency", counting)
+        # 300 disjoint pairs plus one 100-node path a0-b0-a1-b1-...-b49.
+        edges = {(f"a{i}", f"b{i}"): 0.2 for i in range(1000, 1300)}
+        for i in range(50):
+            edges[(f"a{i}", f"b{i}")] = 0.01
+            if i:
+                edges[(f"a{i}", f"b{i - 1}")] = 0.01
+        h = bipartite(edges)
+        interner = ColorInterner()
+        nodes = h.source_nodes | h.target_nodes
+        weighted = zero_weighted(
+            Partition({node: interner.node_color(node) for node in sorted(nodes)})
+        )
+        enriched = enrich(weighted, h, interner, generation=1)
+        assert len(calls) == 1
+        assert enriched.weight("a1000") == pytest.approx(0.1)
+        assert enriched.color("a0") == enriched.color("b49")
