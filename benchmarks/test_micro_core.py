@@ -3,7 +3,8 @@
 * batch vs incremental (worklist) partition refinement — the ablation for
   the optimization DESIGN.md calls out,
 * the hash-consing interner,
-* full-bisimulation throughput per edge.
+* full-bisimulation throughput per edge,
+* building ``Align(λ)`` and ``UN(λ)`` on one Figure-11 cell (report-only).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from repro.core.bisimulation import bisimulation_partition
 from repro.core.incremental import incremental_refine_fixpoint
 from repro.core.refinement import bisim_refine_fixpoint
 from repro.datasets import EFOGenerator
+from repro.experiments.store import VersionStore
 from repro.model import combine
+from repro.partition.alignment import PartitionAlignment, unaligned_non_literals
 from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
 
@@ -88,3 +91,23 @@ def test_interner_throughput(benchmark):
 def test_full_bisimulation_partition(benchmark, efo_union):
     partition = benchmark(lambda: bisimulation_partition(efo_union))
     assert partition.num_classes > 1
+
+
+def test_partition_alignment_cell(benchmark):
+    """``PartitionAlignment`` plus ``UN(λ)`` on Figure 11's v1 ⊎ v8 cell.
+
+    The store is Figure 11's (EFO, scale 1.0, seed 234, 10 versions) and
+    the partition is the cell's hybrid one.  Report-only: the autouse
+    fixture records the timing into ``results/bench.json``; no gate.
+    """
+    store = VersionStore(EFOGenerator(scale=1.0, seed=234, versions=10))
+    context = store.cell_context(0, 7)
+    union, partition = context.union, context.hybrid
+
+    def run():
+        alignment = PartitionAlignment(union, partition)
+        return alignment.matched_class_count(), unaligned_non_literals(union, partition)
+
+    matched, unaligned = benchmark(run)
+    assert 0 < matched < union.num_nodes
+    assert unaligned

@@ -10,7 +10,6 @@ from .metrics import (
     aligned_edge_count,
     aligned_edge_counts,
     aligned_edge_ratio,
-    edge_color_triples,
     ground_truth_entity_count,
     matched_entity_count,
     recall_against_truth,
@@ -37,7 +36,6 @@ __all__ = [
     "aligned_edge_ratio",
     "classify_node",
     "difference_matrix",
-    "edge_color_triples",
     "format_number",
     "gradient_violations",
     "ground_truth_entity_count",

@@ -16,29 +16,26 @@ Two counting conventions are used by the paper's figures:
 from __future__ import annotations
 
 from ..datasets.ground_truth import GroundTruth
-from ..model.union import CombinedGraph
+from ..model.union import SOURCE, CombinedGraph
 from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
 from ..partition.interner import Color
 
 
-def edge_color_triples(
-    graph: CombinedGraph, partition: Partition, side_nodes: frozenset
-) -> set[tuple[Color, Color, Color]]:
-    """The distinct color triples of one side's edges."""
-    triples: set[tuple[Color, Color, Color]] = set()
-    for subject, predicate, obj in graph.edges():
-        if subject in side_nodes:
-            triples.add((partition[subject], partition[predicate], partition[obj]))
-    return triples
-
-
 def aligned_edge_counts(
     graph: CombinedGraph, partition: Partition
 ) -> tuple[int, int]:
-    """``(|T1 ∩ T2|, |T1 ∪ T2|)`` over distinct edge color triples."""
-    source_triples = edge_color_triples(graph, partition, graph.source_nodes)
-    target_triples = edge_color_triples(graph, partition, graph.target_nodes)
+    """``(|T1 ∩ T2|, |T1 ∪ T2|)`` over distinct edge color triples.
+
+    One pass over the edges: the subject's id carries the edge's side
+    (``(SOURCE | TARGET, n)``, see :mod:`repro.model.union`).
+    """
+    source_triples: set[tuple[Color, Color, Color]] = set()
+    target_triples: set[tuple[Color, Color, Color]] = set()
+    for subject, predicate, obj in graph.edges():
+        side = subject[0]  # type: ignore[index]
+        triples = source_triples if side == SOURCE else target_triples
+        triples.add((partition[subject], partition[predicate], partition[obj]))
     return (
         len(source_triples & target_triples),
         len(source_triples | target_triples),

@@ -9,6 +9,26 @@ is ``(n′, m′)``.
 A node of one version is *unaligned* when its class contains no node of
 the other version; the progressive methods (Deblank → Hybrid → Overlap)
 work on exactly those nodes.
+
+:class:`PartitionAlignment` is built in one pass over the partition's
+``(node, color)`` items:
+
+* a node's side is read from its identifier — the union tags every node
+  as ``(SOURCE | TARGET, n)`` (:mod:`repro.model.union`), so ``node[0]``
+  is the side and the pass hashes no member (nor probes the side sets);
+* the pass only counts, per color, the source and target members, which
+  answers :meth:`~PartitionAlignment.matched_class_count`,
+  :meth:`~PartitionAlignment.pair_count` and, with one more pass each,
+  the cached unaligned sets;
+* reading the side from the id is sound only for partitions of exactly
+  this graph, so the constructor refuses a partition whose size differs
+  from the graph's node count (an O(1) :class:`AlignmentError` guard);
+* the per-class :class:`ClassSides` are built lazily, on the first
+  :meth:`~PartitionAlignment.class_sides` or
+  :meth:`~PartitionAlignment.partners` call, and cached, so
+  ``partners()`` is O(1) after its first call;
+* :meth:`~PartitionAlignment.pairs` walks per-color member lists of the
+  matched classes only.
 """
 
 from __future__ import annotations
@@ -16,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..exceptions import AlignmentError
 from ..model.graph import NodeId
 from ..model.union import SOURCE, TARGET, CombinedGraph
 from .coloring import Partition
@@ -43,17 +64,28 @@ class PartitionAlignment:
     iteration.
     """
 
-    __slots__ = ("_graph", "_partition", "_sides", "_unaligned_source", "_unaligned_target")
+    __slots__ = (
+        "_graph", "_partition", "_source_counts", "_target_counts",
+        "_sides", "_unaligned_source", "_unaligned_target",
+    )
 
     def __init__(self, graph: CombinedGraph, partition: Partition) -> None:
+        if len(partition) != graph.num_nodes:
+            raise AlignmentError(
+                f"partition colors {len(partition)} nodes but the combined "
+                f"graph has {graph.num_nodes}"
+            )
         self._graph = graph
         self._partition = partition
-        sides: dict[Color, ClassSides] = {}
-        for color, members in partition.classes().items():
-            source = frozenset(n for n in members if n in graph.source_nodes)
-            target = frozenset(n for n in members if n in graph.target_nodes)
-            sides[color] = ClassSides(source=source, target=target)
-        self._sides = sides
+        source_counts: dict[Color, int] = {}
+        target_counts: dict[Color, int] = {}
+        for node, color in partition.items():
+            side = node[0]  # type: ignore[index]
+            counts = source_counts if side == SOURCE else target_counts
+            counts[color] = counts.get(color, 0) + 1
+        self._source_counts = source_counts
+        self._target_counts = target_counts
+        self._sides: dict[Color, ClassSides] | None = None
         self._unaligned_source: frozenset[NodeId] | None = None
         self._unaligned_target: frozenset[NodeId] | None = None
 
@@ -66,9 +98,40 @@ class PartitionAlignment:
     def partition(self) -> Partition:
         return self._partition
 
+    def _member_lists(
+        self, matched_only: bool
+    ) -> dict[Color, tuple[list[NodeId], list[NodeId]]]:
+        """Per-color ``(source, target)`` members, in first-occurrence order.
+
+        With *matched_only*, classes confined to one side are left out.
+        """
+        matched = (
+            self._source_counts.keys() & self._target_counts.keys()
+            if matched_only
+            else None
+        )
+        members: dict[Color, tuple[list[NodeId], list[NodeId]]] = {}
+        for node, color in self._partition.items():
+            if matched is not None and color not in matched:
+                continue
+            lists = members.get(color)
+            if lists is None:
+                lists = members[color] = ([], [])
+            lists[0 if node[0] == SOURCE else 1].append(node)  # type: ignore[index]
+        return members
+
+    def _class_sides(self) -> dict[Color, ClassSides]:
+        """The cached per-class side split (treat as read-only)."""
+        if self._sides is None:
+            self._sides = {
+                color: ClassSides(source=frozenset(source), target=frozenset(target))
+                for color, (source, target) in self._member_lists(False).items()
+            }
+        return self._sides
+
     def class_sides(self) -> dict[Color, ClassSides]:
-        """Every class with its side split."""
-        return dict(self._sides)
+        """Every class with its side split (a copy of the cached dict)."""
+        return dict(self._class_sides())
 
     # -- membership ------------------------------------------------------
     def aligned(self, source_node: NodeId, target_node: NodeId) -> bool:
@@ -81,23 +144,26 @@ class PartitionAlignment:
 
     def partners(self, node: NodeId) -> frozenset[NodeId]:
         """All opposite-side nodes aligned with *node* (possibly empty)."""
-        sides = self._sides[self._partition[node]]
-        if self._graph.side(node) == SOURCE:
+        sides = self._class_sides()[self._partition[node]]
+        if node[0] == SOURCE:  # type: ignore[index]
             return sides.target
         return sides.source
 
     def pairs(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Iterate over all aligned pairs (may be large for fat classes)."""
-        for sides in self._sides.values():
-            for source_node in sides.source:
-                for target_node in sides.target:
+        for source, target in self._member_lists(True).values():
+            for source_node in source:
+                for target_node in target:
                     yield source_node, target_node
 
     # -- counting ----------------------------------------------------------
     def pair_count(self) -> int:
         """``|Align(λ)|`` without materializing pairs."""
+        target_counts = self._target_counts
         return sum(
-            len(s.source) * len(s.target) for s in self._sides.values() if s.is_matched
+            count * target_counts[color]
+            for color, count in self._source_counts.items()
+            if color in target_counts
         )
 
     def matched_class_count(self) -> int:
@@ -106,31 +172,32 @@ class PartitionAlignment:
         This is the deduplicated "number of aligned nodes" of the paper's
         Figure 13: each matched class stands for one entity.
         """
-        return sum(1 for s in self._sides.values() if s.is_matched)
+        return len(self._source_counts.keys() & self._target_counts.keys())
 
     # -- unaligned nodes ----------------------------------------------------
-    # The partition is immutable after __init__, so the side scans are
-    # computed once and cached; frozensets keep repeat callers from
-    # mutating the cache.
+    # The partition is immutable after __init__, so each side's pass runs
+    # once and is cached; frozensets keep repeat callers from mutating the
+    # cache.
     def unaligned_source(self) -> frozenset[NodeId]:
         """``Unaligned_1(λ)``: source nodes with no target partner."""
         if self._unaligned_source is None:
-            out: set[NodeId] = set()
-            for sides in self._sides.values():
-                if not sides.target:
-                    out.update(sides.source)
-            self._unaligned_source = frozenset(out)
+            self._unaligned_source = self._unaligned_side(SOURCE, self._target_counts)
         return self._unaligned_source
 
     def unaligned_target(self) -> frozenset[NodeId]:
         """``Unaligned_2(λ)``: target nodes with no source partner."""
         if self._unaligned_target is None:
-            out: set[NodeId] = set()
-            for sides in self._sides.values():
-                if not sides.source:
-                    out.update(sides.target)
-            self._unaligned_target = frozenset(out)
+            self._unaligned_target = self._unaligned_side(TARGET, self._source_counts)
         return self._unaligned_target
+
+    def _unaligned_side(
+        self, side: int, opposite_counts: dict[Color, int]
+    ) -> frozenset[NodeId]:
+        return frozenset(
+            node
+            for node, color in self._partition.items()
+            if node[0] == side and color not in opposite_counts  # type: ignore[index]
+        )
 
     def unaligned(self) -> frozenset[NodeId]:
         """``Unaligned(λ) = Unaligned_1(λ) ∪ Unaligned_2(λ)``."""
@@ -147,10 +214,9 @@ class PartitionAlignment:
         return has_crossover_property(set(self.pairs()))
 
     def __repr__(self) -> str:
-        return (
-            f"<PartitionAlignment classes={len(self._sides)} "
-            f"matched={self.matched_class_count()}>"
-        )
+        matched = self.matched_class_count()
+        classes = len(self._source_counts) + len(self._target_counts) - matched
+        return f"<PartitionAlignment classes={classes} matched={matched}>"
 
 
 def has_crossover_property(pairs: set[tuple[NodeId, NodeId]]) -> bool:

@@ -5,8 +5,8 @@ pays three per-generation costs that are invisible on the worked examples
 but dominate real workloads:
 
 1. ``PartitionAlignment`` is rebuilt from the full partition every
-   generation (O(N) with per-class frozensets) only to answer "which
-   nodes are still unaligned?";
+   generation (one O(N) counting pass, plus one pass per side's
+   unaligned set) only to answer "which nodes are still unaligned?";
 2. ``weighted_refine_fixpoint`` Jacobi-iterates the weight recurrence
    one node at a time over per-node Python sets;
 3. ``overlap_match``'s characterizations and ``grouped_weights`` walk
@@ -61,8 +61,10 @@ class AlignmentTracker:
     """Per-color side membership maintained under recoloring.
 
     ``PartitionAlignment`` answers the Algorithm 2 loop's only question —
-    the per-side unaligned node sets — by re-scanning the whole partition.
-    This tracker keeps the same information incrementally: every color
+    the per-side unaligned node sets — with a counting pass over the
+    whole partition plus one pass per side: cheap, but O(N) in every
+    generation.  This tracker spares the dense loop that per-generation
+    scan by keeping the same information incrementally: every color
     maps to its source-side and target-side member sets, and the two
     unaligned sets are updated exactly when a recoloring changes them.
     A single :meth:`recolor` costs O(1) except when it flips a color's
