@@ -4,7 +4,9 @@
   the optimization DESIGN.md calls out,
 * the hash-consing interner,
 * full-bisimulation throughput per edge,
-* building ``Align(λ)`` and ``UN(λ)`` on one Figure-11 cell (report-only).
+* building ``Align(λ)`` and ``UN(λ)`` on one Figure-11 cell (report-only),
+* ingesting a version pair: parsing both N-Triples files and building
+  their union (report-only).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from repro.core.bisimulation import bisimulation_partition
 from repro.core.incremental import incremental_refine_fixpoint
 from repro.core.refinement import bisim_refine_fixpoint
 from repro.datasets import EFOGenerator
+from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.experiments.store import VersionStore
-from repro.model import combine
+from repro.io import ntriples
+from repro.model import CombinedGraph, combine
 from repro.partition.alignment import PartitionAlignment, unaligned_non_literals
 from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
@@ -111,3 +115,24 @@ def test_partition_alignment_cell(benchmark):
     matched, unaligned = benchmark(run)
     assert 0 < matched < union.num_nodes
     assert unaligned
+
+
+@pytest.fixture(scope="module")
+def scale_free_pair_texts():
+    generator = SyntheticGenerator(
+        config=SyntheticConfig(shape="scale_free", seed=7, versions=2, scale=50)
+    )
+    return [ntriples.dumps(generator.graph(version)) for version in range(2)]
+
+
+def test_ingest_pair(benchmark, scale_free_pair_texts):
+    """``ntriples.loads`` of both versions of a scale-50 ``scale_free``
+    pair, then their ``CombinedGraph``.  Report-only: the autouse fixture
+    records the timing into ``results/bench.json``; no gate."""
+
+    def run():
+        source, target = (ntriples.loads(text) for text in scale_free_pair_texts)
+        return CombinedGraph(source, target)
+
+    union = benchmark(run)
+    assert union.num_edges == sum(text.count("\n") for text in scale_free_pair_texts)

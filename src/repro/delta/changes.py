@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from ..io.ntriples import format_term
 from ..model.graph import Edge, NodeId, TripleGraph
-from ..model.labels import Label
+from ..model.labels import Label, Literal, URI
+from ..model.rdf import BlankNode
 from ..model.union import CombinedGraph
 from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
@@ -137,24 +139,42 @@ def compute_delta(graph: CombinedGraph, partition: Partition) -> Delta:
             )
 
     # ---- triple-level changes (modulo the alignment) -------------------
-    source_triples: dict[tuple, Edge] = {}
-    target_triples: dict[tuple, Edge] = {}
-    for subject, predicate, obj in graph.edges():
+    # Each color key keeps the edge whose rendered terms sort first, and
+    # both lists are sorted by rendered terms: neither the edge set's
+    # iteration order nor the color ids may reach the output, since both
+    # vary with hash randomization.
+    rendered = {node: _render(node) for node in graph.nodes()}
+    source_triples: dict[tuple, tuple[tuple[str, str, str], Edge]] = {}
+    target_triples: dict[tuple, tuple[tuple[str, str, str], Edge]] = {}
+    source_nodes = graph.source_nodes
+    for edge in graph.edges():
+        subject, predicate, obj = edge
         key = (partition[subject], partition[predicate], partition[obj])
-        if subject in graph.source_nodes:
-            source_triples[key] = (subject, predicate, obj)
-        else:
-            target_triples[key] = (subject, predicate, obj)
+        text = (rendered[subject], rendered[predicate], rendered[obj])
+        side = source_triples if subject in source_nodes else target_triples
+        kept = side.get(key)
+        if kept is None or text < kept[0]:
+            side[key] = (text, edge)
     delta.kept_triple_count = len(source_triples.keys() & target_triples.keys())
-    delta.removed_triples = [
-        source_triples[key]
-        for key in sorted(source_triples.keys() - target_triples.keys())
-    ]
-    delta.added_triples = [
-        target_triples[key]
-        for key in sorted(target_triples.keys() - source_triples.keys())
-    ]
+    delta.removed_triples = _sorted_edges(
+        entry for key, entry in source_triples.items() if key not in target_triples
+    )
+    delta.added_triples = _sorted_edges(
+        entry for key, entry in target_triples.items() if key not in source_triples
+    )
     return delta
+
+
+def _render(node: NodeId) -> str:
+    """A combined node's original id as N-Triples text (``repr`` if no term)."""
+    original = node[1]  # type: ignore[index]
+    if isinstance(original, (URI, Literal, BlankNode)):
+        return format_term(original)
+    return repr(original)
+
+
+def _sorted_edges(entries: Iterable[tuple[tuple[str, str, str], Edge]]) -> list[Edge]:
+    return [edge for _, edge in sorted(entries, key=lambda entry: entry[0])]
 
 
 def render_delta(graph: CombinedGraph, delta: Delta, limit: int = 20) -> str:

@@ -11,14 +11,21 @@ versions the alignment algorithms consume:
 * ``#`` comment lines and blank lines.
 
 The parser is line-oriented (as the format requires) and reports precise
-line numbers on malformed input.
+line numbers on malformed input.  :func:`load` matches each line against
+one anchored regex covering the common shapes (an IRI or blank subject, an
+IRI predicate, an IRI, blank or escape-free literal object), interns each
+distinct term once per document and inserts the triples in bulk.  Every
+other line -- escapes, unusual spacing, malformed input -- goes through the
+character scanner behind :func:`parse_line`, the only reporter of errors.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import Iterable, Iterator, TextIO
+import re
+import sys
+from typing import TextIO
 
 from ..exceptions import ParseError
 from ..model.labels import Literal, URI, is_blank
@@ -34,6 +41,25 @@ _ESCAPES = {
     "'": "'",
     "\\": "\\",
 }
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+#: The fast path's line shape, matched in full against a stripped line;
+#: each group is one term's N-Triples text.  Its character classes are the
+#: scanner's: a blank label is ``isalnum()`` or ``-_.`` (CPython's ``\w``
+#: is ``isalnum()`` plus ``_``) and must end where the scanner's greedy
+#: read ends, hence ``(?![\w.-])``; a language tag is ``isalnum()`` or
+#: ``-``; IRIs and literal bodies hold no backslash, so a line with an
+#: escape goes to the scanner.  The scanner skips only spaces and tabs
+#: between terms and needs none.
+_BLANK_LABEL = r"_:[\w.-]+(?![\w.-])"
+_IRI = r"<[^>\\]*>"
+_FAST_TRIPLE = re.compile(
+    rf"({_IRI}|{_BLANK_LABEL})"
+    rf"[ \t]*({_IRI})"
+    rf"[ \t]*({_IRI}|{_BLANK_LABEL}|\"[^\"\\]*\"(?:@(?:[^\W_]|-)+|\^\^{_IRI})?)"
+    r"[ \t]*\."
+)
 
 _REVERSE_ESCAPES = {
     "\\": "\\\\",
@@ -77,12 +103,12 @@ class _LineScanner:
     # -- terms ---------------------------------------------------------
     def read_uri(self) -> URI:
         self.expect("<")
-        end = self.text.find(">", self.pos)
+        start = self.pos
+        end = self.text.find(">", start)
         if end < 0:
             raise self.error("unterminated URI")
-        raw = self.text[self.pos:end]
         self.pos = end + 1
-        return URI(_unescape(raw, self))
+        return URI(_unescape_iri(self.text, start, end, self.line_number))
 
     def read_blank(self) -> BlankNode:
         self.expect("_")
@@ -147,10 +173,13 @@ class _LineScanner:
         digits = self.text[self.pos:self.pos + width]
         if len(digits) < width:
             raise self.error("truncated unicode escape")
-        try:
-            code_point = int(digits, 16)
-        except ValueError:
-            raise self.error(f"bad unicode escape \\u{digits}") from None
+        # Exactly hex digits: ``int(_, 16)`` would also take a sign, ``0x``,
+        # ``_`` and spaces, and ``chr`` fails past U+10FFFF.
+        if not _HEX_DIGITS.issuperset(digits):
+            raise self.error(f"bad unicode escape \\u{digits}")
+        code_point = int(digits, 16)
+        if code_point > sys.maxunicode:
+            raise self.error(f"unicode escape \\U{digits} out of range")
         self.pos += width
         return chr(code_point)
 
@@ -170,10 +199,18 @@ class _LineScanner:
         raise self.error(f"unexpected character {char!r}")
 
 
-def _unescape(raw: str, scanner: _LineScanner) -> str:
+def _unescape_iri(text: str, start: int, end: int, line_number: int) -> str:
+    """The IRI body ``text[start:end]`` with its escapes resolved.
+
+    The escapes are read in place, in a scanner cut at the closing ``>``,
+    so an error's column counts from the start of the line and a
+    truncated escape cannot read past the IRI.
+    """
+    raw = text[start:end]
     if "\\" not in raw:
         return raw
-    inner = _LineScanner(raw, scanner.line_number)
+    inner = _LineScanner(text[:end], line_number)
+    inner.pos = start
     chunks: list[str] = []
     while not inner.at_end():
         char = inner.text[inner.pos]
@@ -202,25 +239,65 @@ def parse_line(line: str, line_number: int = 1) -> tuple[Term, Term, Term] | Non
     return subject, predicate, obj
 
 
-def iter_triples(stream: TextIO) -> Iterator[tuple[Term, Term, Term]]:
-    """Yield term triples from an N-Triples stream."""
-    for line_number, line in enumerate(stream, start=1):
-        triple = parse_line(line, line_number)
-        if triple is not None:
-            yield triple
-
-
 def loads(text: str) -> RDFGraph:
     """Parse an N-Triples document from a string into an :class:`RDFGraph`."""
     return load(io.StringIO(text))
 
 
 def load(stream: TextIO) -> RDFGraph:
-    """Parse an N-Triples document from a file object."""
+    """Parse an N-Triples document from a file object.
+
+    A line matching the fast-path shape in full is read from its regex
+    groups; each distinct term text becomes one term object for the whole
+    document, and its node is added when first seen, so nodes keep the
+    scanner path's first-seen subject, predicate, object order.  Its
+    triple joins a batch for :meth:`~repro.model.graph.TripleGraph.add_edges`.
+    Any other line goes through :func:`parse_line` and
+    :meth:`~repro.model.rdf.RDFGraph.add`, after the batch is flushed, so
+    edges too are inserted in document order.
+    """
     graph = RDFGraph()
-    for subject, predicate, obj in iter_triples(stream):
-        graph.add(subject, predicate, obj)
+    terms: dict[str, Term] = {}
+    batch: list[tuple[Term, Term, Term]] = []
+    fast_triple = _FAST_TRIPLE.fullmatch
+    for line_number, line in enumerate(stream, start=1):
+        match = fast_triple(line.strip())
+        if match is None:
+            triple = parse_line(line, line_number)
+            if triple is not None:
+                graph.add_edges(batch)
+                batch.clear()
+                graph.add(*triple)
+            continue
+        subject_text, predicate_text, object_text = match.groups()
+        subject = terms.get(subject_text)
+        if subject is None:
+            subject = terms[subject_text] = graph.term(_fast_term(subject_text))
+        predicate = terms.get(predicate_text)
+        if predicate is None:
+            predicate = terms[predicate_text] = graph.term(_fast_term(predicate_text))
+        obj = terms.get(object_text)
+        if obj is None:
+            obj = terms[object_text] = graph.term(_fast_term(object_text))
+        batch.append((subject, predicate, obj))
+    graph.add_edges(batch)
     return graph
+
+
+def _fast_term(text: str) -> Term:
+    """The term spelled by one fast-path group (escape-free, shape checked)."""
+    head = text[0]
+    if head == "<":
+        return URI(text[1:-1])
+    if head == "_":
+        return BlankNode(text[2:])
+    close = text.index('"', 1)
+    suffix = text[close + 1:]
+    if not suffix:
+        return Literal(text[1:close])
+    if suffix[0] == "@":
+        return Literal(text[1:close], language=suffix[1:])
+    return Literal(text[1:close], datatype=suffix[3:-1])
 
 
 def load_path(path: str | os.PathLike) -> RDFGraph:

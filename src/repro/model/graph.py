@@ -106,9 +106,28 @@ class TripleGraph:
             self._occurrences = None  # invalidate the lazy reverse index
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add many triples at once."""
-        for subject, predicate, obj in edges:
-            self.add_edge(subject, predicate, obj)
+        """Add many triples at once, in order.
+
+        The bulk form of :meth:`add_edge`, with its checks: every endpoint
+        must already be a node, and a duplicate is a no-op.  Each new edge
+        is stored as the tuple it arrived as.
+        """
+        labels = self._labels
+        known = self._edges
+        out = self._out
+        self._occurrences = None  # invalidate the lazy reverse index
+        for edge in edges:
+            subject, predicate, obj = edge
+            if subject not in labels or predicate not in labels or obj not in labels:
+                self.add_edge(subject, predicate, obj)  # raises, naming the role
+            size = len(known)
+            known.add(edge)
+            if len(known) == size:  # a duplicate; the size test hashes once
+                continue
+            pairs = out.get(subject)
+            if pairs is None:
+                pairs = out[subject] = set()
+            pairs.add((predicate, obj))
 
     # ------------------------------------------------------------------
     # Inspection

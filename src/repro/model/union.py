@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from ..exceptions import AlignmentError
+from ..exceptions import AlignmentError, GraphError
 from .graph import NodeId, TripleGraph
 
 #: Side markers for the two versions.
@@ -41,16 +41,37 @@ class CombinedGraph(TripleGraph):
         super().__init__()
         self._source = source
         self._target = target
-        for node in source.nodes():
-            self.add_node((SOURCE, node), source.label(node))
-        for node in target.nodes():
-            self.add_node((TARGET, node), target.label(node))
-        for subject, predicate, obj in source.edges():
-            self.add_edge((SOURCE, subject), (SOURCE, predicate), (SOURCE, obj))
-        for subject, predicate, obj in target.edges():
-            self.add_edge((TARGET, subject), (TARGET, predicate), (TARGET, obj))
-        self._source_nodes = frozenset((SOURCE, n) for n in source.nodes())
-        self._target_nodes = frozenset((TARGET, n) for n in target.nodes())
+        self._source_nodes = self._add_side(SOURCE, source)
+        self._target_nodes = self._add_side(TARGET, target)
+
+    def _add_side(self, side: int, version: TripleGraph) -> frozenset[NodeId]:
+        """Add *version*'s nodes, then its edges in its edge order, as *side*.
+
+        Each node is lifted once to ``(side, node)``; the labels, edges,
+        out-index and the returned side set all hold that one tuple, so
+        the union keeps two tuples alive per edge (the edge and its
+        out-pair).
+        """
+        labels = self._labels
+        lift: dict[Hashable, NodeId] = {}
+        for node, label in version.labels().items():
+            lifted = lift[node] = (side, node)
+            labels[lifted] = label
+        edges = self._edges
+        out = self._out
+        for subject, predicate, obj in version.edges():
+            try:
+                edge = lift[subject], lift[predicate], lift[obj]
+            except KeyError as missing:
+                raise GraphError(
+                    f"edge endpoint {(side, missing.args[0])!r} is not a node of the graph"
+                ) from None
+            edges.add(edge)
+            pairs = out.get(edge[0])
+            if pairs is None:
+                pairs = out[edge[0]] = set()
+            pairs.add(edge[1:])
+        return frozenset(lift.values())
 
     # ------------------------------------------------------------------
     # Sides

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.hybrid import hybrid_partition
 from repro.core.trivial import trivial_partition
+from repro.datasets import EFOGenerator
 from repro.datasets.synthetic import SCENARIOS, SyntheticGenerator
 from repro.delta import VersionChanges, compute_delta, diff, render_delta
 from repro.io import ntriples
@@ -99,6 +103,29 @@ class TestComputeDelta:
             + summary["ambiguous_nodes"]
         )
         assert accounted == source_nodes
+
+
+def test_delta_command_output_independent_of_hash_seed(tmp_path):
+    """``rdf-align delta`` prints the same bytes under any PYTHONHASHSEED:
+    which edge stands for a color key, and the order of the triple
+    lists, come from rendered terms, not from set order or color ids."""
+    generator = EFOGenerator(scale=0.3)
+    paths = []
+    for version in (0, 1):
+        path = tmp_path / f"v{version + 1}.nt"
+        ntriples.dump_path(generator.graph(version), path)
+        paths.append(str(path))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "delta", *paths],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert "removed triples:" in outputs[0] and "added triples:" in outputs[0]
 
 
 class TestRenderDelta:

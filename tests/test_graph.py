@@ -52,6 +52,21 @@ class TestConstruction:
         g.add_edges([("a", "b", "c"), ("c", "b", "a")])
         assert g.num_edges == 2
 
+    def test_add_edges_keeps_add_edge_checks(self):
+        """The bulk path raises add_edge's error for a missing endpoint,
+        after adding the edges before it; duplicates are no-ops and the
+        reverse index is rebuilt."""
+        g = small_graph()
+        assert g.occurrences("o") == {"s"}
+        with pytest.raises(GraphError) as per_edge:
+            small_graph().add_edge("o", "p", "zzz")
+        with pytest.raises(GraphError) as bulk:
+            g.add_edges([("b", "p", "o"), ("s", "p", "o"), ("o", "p", "zzz"), ("o", "p", "s")])
+        assert str(bulk.value) == str(per_edge.value)
+        assert g.num_edges == 3
+        assert g.out("b") == {("p", "o")}
+        assert g.occurrences("o") == {"s", "b"}
+
 
 class TestInspection:
     def test_out_neighborhood(self):
