@@ -70,7 +70,51 @@ _REVERSE_ESCAPES = {
 }
 
 
-class _LineScanner:
+class _EscapeScanner:
+    """Backslash-escape decoding, shared by the N-Triples and Turtle scanners.
+
+    A subclass provides ``text``, ``pos`` and ``error`` (which places the
+    message at ``pos``), so both formats accept exactly the same escapes.
+    """
+
+    __slots__ = ()
+
+    text: str
+    pos: int
+
+    def error(self, message: str) -> ParseError:
+        raise NotImplementedError
+
+    def _read_escape(self) -> str:
+        if self.pos >= len(self.text):
+            raise self.error("dangling backslash")
+        char = self.text[self.pos]
+        self.pos += 1
+        if char in _ESCAPES:
+            return _ESCAPES[char]
+        if char == "u":
+            return self._read_hex(4)
+        if char == "U":
+            return self._read_hex(8)
+        raise self.error(f"unknown escape \\{char}")
+
+    def _read_hex(self, width: int) -> str:
+        digits = self.text[self.pos:self.pos + width]
+        if len(digits) < width:
+            raise self.error("truncated unicode escape")
+        escape = f"\\{'u' if width == 4 else 'U'}{digits}"
+        # Exactly hex digits: ``int(_, 16)`` would also take a sign, ``0x``,
+        # ``_``, spaces and non-ASCII digits, and ``chr`` fails past U+10FFFF.
+        if not _HEX_DIGITS.issuperset(digits):
+            raise self.error(f"bad unicode escape {escape}")
+        code_point = int(digits, 16)
+        if code_point > sys.maxunicode:
+            raise self.error(f"unicode escape {escape} out of range")
+        self.pos += width
+        return chr(code_point)
+
+
+class _LineScanner(_EscapeScanner):
     """A cursor over one N-Triples line."""
 
     __slots__ = ("text", "pos", "line_number")
@@ -155,33 +199,6 @@ class _LineScanner:
             self.pos += 2
             datatype = self.read_uri().value
         return Literal(value, language=language, datatype=datatype)
-
-    def _read_escape(self) -> str:
-        if self.at_end():
-            raise self.error("dangling backslash")
-        char = self.text[self.pos]
-        self.pos += 1
-        if char in _ESCAPES:
-            return _ESCAPES[char]
-        if char == "u":
-            return self._read_hex(4)
-        if char == "U":
-            return self._read_hex(8)
-        raise self.error(f"unknown escape \\{char}")
-
-    def _read_hex(self, width: int) -> str:
-        digits = self.text[self.pos:self.pos + width]
-        if len(digits) < width:
-            raise self.error("truncated unicode escape")
-        # Exactly hex digits: ``int(_, 16)`` would also take a sign, ``0x``,
-        # ``_`` and spaces, and ``chr`` fails past U+10FFFF.
-        if not _HEX_DIGITS.issuperset(digits):
-            raise self.error(f"bad unicode escape \\u{digits}")
-        code_point = int(digits, 16)
-        if code_point > sys.maxunicode:
-            raise self.error(f"unicode escape \\U{digits} out of range")
-        self.pos += width
-        return chr(code_point)
 
     def read_term(self, *, allow_literal: bool, allow_blank: bool) -> Term:
         self.skip_whitespace()

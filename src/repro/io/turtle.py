@@ -31,7 +31,7 @@ from ..exceptions import ParseError
 from ..model.labels import Literal, URI
 from ..model.namespaces import RDF
 from ..model.rdf import BlankNode, RDFGraph, Term
-from .ntriples import _ESCAPES, _escape_literal
+from .ntriples import _escape_literal, _EscapeScanner
 
 _RDF_TYPE = RDF["type"]
 
@@ -94,8 +94,11 @@ def dumps(graph: RDFGraph, prefixes: Mapping[str, str] | None = None) -> str:
 # ----------------------------------------------------------------------
 # Reader
 # ----------------------------------------------------------------------
-class _Scanner:
-    """A cursor over a whole Turtle document (statements span lines)."""
+class _Scanner(_EscapeScanner):
+    """A cursor over a whole Turtle document (statements span lines).
+
+    Escapes are decoded by the N-Triples scanner's rules, read in place.
+    """
 
     __slots__ = ("text", "pos", "line")
 
@@ -105,7 +108,8 @@ class _Scanner:
         self.line = 1
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line)
+        column = self.pos - self.text.rfind("\n", 0, self.pos)
+        return ParseError(f"{message} (column {column})", self.line)
 
     def skip_space(self) -> None:
         """Advance past whitespace and ``#`` comments."""
@@ -151,8 +155,22 @@ class _Scanner:
             # An IRIREF cannot span lines; without this check a missing
             # ">" would silently swallow the following statements.
             raise self.error("unterminated IRI (newline before '>')")
+        if "\\" not in raw:
+            self.pos = end + 1
+            return raw
+        # Read in place, so errors carry the document's line and column.
+        # ``>`` is neither an escape character nor a hex digit, so an escape
+        # cut short by the closing ``>`` fails rather than reading past it.
+        chunks: list[str] = []
+        while self.pos < end:
+            char = self.text[self.pos]
+            self.pos += 1
+            if char == "\\":
+                chunks.append(self._read_escape())
+            else:
+                chunks.append(char)
         self.pos = end + 1
-        return self._unescape(raw)
+        return "".join(chunks)
 
     def read_name(self) -> str:
         """A bare name: prefix label, local name or keyword."""
@@ -188,38 +206,6 @@ class _Scanner:
             else:
                 chunks.append(char)
                 self.pos += 1
-
-    def _read_escape(self) -> str:
-        if self.pos >= len(self.text):
-            raise self.error("dangling backslash")
-        char = self.text[self.pos]
-        self.pos += 1
-        if char in _ESCAPES:
-            return _ESCAPES[char]
-        if char in "uU":
-            width = 4 if char == "u" else 8
-            digits = self.text[self.pos:self.pos + width]
-            try:
-                code_point = int(digits, 16)
-            except ValueError:
-                raise self.error(f"bad unicode escape \\{char}{digits}") from None
-            self.pos += width
-            return chr(code_point)
-        raise self.error(f"unknown escape \\{char}")
-
-    def _unescape(self, raw: str) -> str:
-        if "\\" not in raw:
-            return raw
-        inner = _Scanner(raw)
-        chunks: list[str] = []
-        while inner.pos < len(raw):
-            char = raw[inner.pos]
-            inner.pos += 1
-            if char == "\\":
-                chunks.append(inner._read_escape())
-            else:
-                chunks.append(char)
-        return "".join(chunks)
 
 
 class _TurtleParser:

@@ -14,13 +14,23 @@ type system:
 
 Labels are immutable value objects: two labels are equal iff they have the
 same kind and the same content, regardless of identity.
+
+URI and literal labels are tagged tuples, ``(TAG_URI, value)`` and
+``(TAG_LITERAL, value, language, datatype)`` with ``None`` for an absent
+language or datatype, and define no ``__hash__`` or ``__eq__``: hashing and
+comparing them, and every tuple that holds them, runs in C.  A label equals
+the plain tuple of its fields.  The tags differ per kind and avoid 1 and 2,
+the union's side markers, so no label equals a union id ``(side, node)``.
+Labels order like tuples, but code orders them by :func:`label_sort_key`.
+Pickles and copies rebuild a term through its constructor, so a pickle of
+the former dataclass terms fails to load instead of building half a term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from operator import itemgetter
+from typing import Any, Union
 
 
 class NodeKind(Enum):
@@ -31,15 +41,33 @@ class NodeKind(Enum):
     BLANK = "blank"
 
 
-@dataclass(frozen=True, slots=True)
-class URI:
-    """A URI label.
+#: Kind tags, item 0 of every term tuple; never 1 or 2 (the union's sides).
+TAG_URI = 0
+TAG_LITERAL = 3
+TAG_BLANK = 4
+
+
+def _field(index: int) -> Any:
+    """A read-only property for item *index* of a term tuple, read in C."""
+    return property(itemgetter(index))
+
+
+class URI(tuple[int, str]):
+    """A URI label, the tuple ``(TAG_URI, value)``.
 
     >>> URI("http://example.org/a") == URI("http://example.org/a")
     True
     """
 
-    value: str
+    __slots__ = ()
+
+    value: str = _field(1)
+
+    def __new__(cls, value: str) -> URI:
+        return super().__new__(cls, (TAG_URI, value))
+
+    def __getnewargs__(self) -> tuple[str]:  # type: ignore[override]
+        return self[1:]
 
     @property
     def kind(self) -> NodeKind:
@@ -56,24 +84,32 @@ class URI:
         return (0, self.value, "", "")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(tuple[int, str, str | None, str | None]):
     """A literal label: a string value plus optional language/datatype.
 
-    The paper treats literals as opaque unique strings; we additionally keep
-    the RDF language tag and datatype IRI so that N-Triples files round-trip
+    The tuple ``(TAG_LITERAL, value, language, datatype)``.  The paper
+    treats literals as opaque unique strings; we additionally keep the RDF
+    language tag and datatype IRI so that N-Triples files round-trip
     faithfully.  Two literals are equal only if value, language and datatype
     all coincide, which preserves the paper's "no two nodes have the same
     literal label" invariant for real-world data.
     """
 
-    value: str
-    language: str | None = field(default=None)
-    datatype: str | None = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.language is not None and self.datatype is not None:
+    value: str = _field(1)
+    language: str | None = _field(2)
+    datatype: str | None = _field(3)
+
+    def __new__(
+        cls, value: str, language: str | None = None, datatype: str | None = None
+    ) -> Literal:
+        if language is not None and datatype is not None:
             raise ValueError("a literal cannot carry both a language tag and a datatype")
+        return super().__new__(cls, (TAG_LITERAL, value, language, datatype))
+
+    def __getnewargs__(self) -> tuple[str, str | None, str | None]:  # type: ignore[override]
+        return self[1:]
 
     @property
     def kind(self) -> NodeKind:

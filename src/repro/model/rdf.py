@@ -12,28 +12,37 @@ triple graph in which
 literal nodes are keyed by their label (so the same URI can never create two
 nodes), blank nodes are explicit :class:`BlankNode` handles with local
 names, and :meth:`RDFGraph.add` validates positions.
+
+A blank node handle is a tagged tuple like the labels, ``(TAG_BLANK, name)``
+(see :mod:`repro.model.labels`); code orders handles by ``repr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from ..exceptions import RDFWellFormednessError
 from .graph import NodeId, TripleGraph
-from .labels import BLANK, Label, Literal, URI, is_blank
+from .labels import BLANK, TAG_BLANK, Label, Literal, URI, _field, is_blank
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    """A blank node handle with a graph-local name.
+class BlankNode(tuple[int, str]):
+    """A blank node handle with a graph-local name: ``(TAG_BLANK, name)``.
 
     The *name* exists purely to distinguish blank nodes within a single
     version (like ``_:b1`` in N-Triples); it is **not** persistent across
     versions — which is exactly the problem the deblanking alignment solves.
     """
 
-    name: str
+    __slots__ = ()
+
+    name: str = _field(1)
+
+    def __new__(cls, name: str) -> BlankNode:
+        return super().__new__(cls, (TAG_BLANK, name))
+
+    def __getnewargs__(self) -> tuple[str]:  # type: ignore[override]
+        return self[1:]
 
     def __repr__(self) -> str:
         return f"_:{self.name}"
@@ -71,8 +80,8 @@ class RDFGraph(TripleGraph):
     >>> g = RDFGraph()
     >>> g.add(uri("ss"), uri("address"), blank("b1"))
     >>> g.add(blank("b1"), uri("zip"), lit("EH8"))
-    >>> sorted(g.triples())[0][0]
-    _:b1
+    >>> g.label(blank("b1"))
+    BLANK
     """
 
     __slots__ = ()

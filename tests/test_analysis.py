@@ -776,23 +776,27 @@ graphs = SyntheticGenerator(
     config=SyntheticConfig(shape="scale_free", scale=0.2, seed=13, versions=2)
 ).graphs()
 report = Aligner(
-    AlignConfig(method="overlap", theta=0.6, engine="reference")
+    AlignConfig(method="overlap", theta=0.6, engine={engine!r})
 ).report(graphs[0], graphs[1])
 sys.stdout.write(report.to_json())
 """
 
 
-def test_overlap_report_bytes_independent_of_hash_seed(tmp_path):
+@pytest.mark.parametrize("engine", ["reference", "dense"])
+def test_overlap_report_bytes_independent_of_hash_seed(tmp_path, engine):
     """The unordered-iteration fixes, end to end: the overlap method's
     float-accumulation order (and thus the report's bytes) must not
     depend on PYTHONHASHSEED.  Before the sorted() upgrades in
-    dense_overlap/overlap_alignment this differed between seeds."""
+    dense_overlap/overlap_alignment this differed between seeds.  The
+    dense engine is the one the benchmark's pair workload runs."""
+    if engine == "dense":
+        pytest.importorskip("numpy")
     outputs = []
     for seed in ("0", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            [sys.executable, "-c", _HASH_SEED_SCRIPT.format(engine=engine)],
             capture_output=True, text=True, env=env, check=True,
         )
         outputs.append(proc.stdout)

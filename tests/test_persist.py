@@ -9,8 +9,11 @@ backend mechanics (layout, read-only guard, identity pinning).
 
 from __future__ import annotations
 
+import copyreg
+import io
 import json
 import os
+import pickle
 
 import pytest
 
@@ -25,7 +28,11 @@ from repro.experiments.persist import (
     iter_report_keys,
     resolve_backend,
 )
+from repro.experiments.cells import edge_ratio_cell, method_counts_cell
+from repro.experiments.parallel import run_store_cells
 from repro.experiments.store import VersionStore
+from repro.model.labels import Literal, URI
+from repro.model.rdf import BlankNode
 
 numpy = pytest.importorskip("numpy")
 
@@ -205,6 +212,25 @@ def _flip_first_byte(path) -> None:
     path.write_bytes(bytes(data))
 
 
+class _DataclassEraPickler(pickle.Pickler):
+    """Pickles terms the way the frozen term dataclasses did.
+
+    A slotted dataclass reduced to ``copyreg.__newobj__(cls)`` plus a list
+    of its field values, which loading restores with ``BUILD``.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (URI, Literal, BlankNode)):
+            return copyreg.__newobj__, (type(obj),), list(obj[1:])
+        return NotImplemented
+
+
+def _dataclass_era_pickle(payload) -> bytes:
+    buffer = io.BytesIO()
+    _DataclassEraPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return buffer.getvalue()
+
+
 class TestCorruptionDetection:
     """CRC32 checksums, manifest versioning, quarantine and rebuild."""
 
@@ -331,6 +357,47 @@ class TestCorruptionDetection:
         # ordering follows the re-parsed graph, not the original).
         rebuilt = recovered.csr_block(0)
         assert len(rebuilt.nodes) == len(store.csr_block(0).nodes)
+
+    def test_archive_with_dataclass_era_term_pickles_rebuilds(self, store, tmp_path):
+        # An archive saved while terms were dataclasses holds pickles that
+        # rebuild each term as ``cls.__new__(cls)`` with no arguments; that
+        # raises TypeError now, so load quarantines every such blob and
+        # rebuilds it from the graphs, with the same reports and rows.
+        root = self._saved(store, tmp_path)
+        backend = DiskBackend(root)
+        keys = [f"csr/{v}/nodes" for v in range(store.versions)] + [
+            "artifacts/summaries", "artifacts/edge_tokens", "artifacts/splits",
+        ]
+        rewritten = []
+        for key in keys:
+            blob = backend.get_blob(key)
+            old_shape = _dataclass_era_pickle(pickle.loads(blob))
+            if old_shape != blob:  # the literal splits hold no terms
+                backend.put_blob(key, old_shape)
+                rewritten.append(key.removesuffix("/nodes"))
+        backend.flush()
+        assert "csr/0" in rewritten and "artifacts/edge_tokens" in rewritten
+        with pytest.raises(TypeError):
+            pickle.loads(backend.get_blob("csr/0/nodes"))
+
+        loaded = VersionStore.load(DiskBackend.open(root))
+        assert sorted(entry["key"] for entry in loaded.quarantined) == sorted(rewritten)
+
+        def outputs(source: VersionStore) -> tuple:
+            graphs = source.graphs()
+            reports = [
+                Aligner(config).align(graphs[0], graphs[1]).report(config).to_json()
+                for config in (AlignConfig(method="deblank"), AlignConfig(method="hybrid"))
+            ]
+            pairs = [(0, 1), (0, source.versions - 1), (1, 1)]
+            rows = [
+                run_store_cells(source, cell, pairs, jobs=1)
+                for cell in (edge_ratio_cell, method_counts_cell)
+            ]
+            return reports, rows
+
+        fresh = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
+        assert outputs(loaded) == outputs(fresh)
 
     def test_corrupt_graph_blob_is_fatal(self, store, tmp_path):
         # Graphs are the archive's source of truth: nothing to rebuild

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ParseError
 from repro.io import load_graph, ntriples, sniff_format, turtle
@@ -168,11 +170,48 @@ class TestReaderErrorPaths:
             # -- statement structure ---------------------------------------
             "<http://ex/a> <http://ex/p> <http://ex/o>",    # missing dot
             "<http://ex/a> <http://ex/p> .",                # missing object
+            # -- unicode escapes: exactly 4/8 hex digits, at most U+10FFFF --
+            '<s> <p> "a\\UFFFFFFFF" .',                    # out of range
+            '<s> <p> "a\\u-123" .',                        # sign
+            "<s> <p> <o\\u-123> .",                        # sign, in an IRI
+            '<s> <p> "a\\u0x12" .',                        # 0x prefix
+            '<s> <p> "a\\u+123" .',                        # sign
+            '<s> <p> "a\\U0000_041" .',                    # digit separator
         ],
     )
     def test_malformed_documents_rejected(self, document):
         with pytest.raises(ParseError):
             turtle.loads(document)
+
+    def test_escape_error_carries_line_and_column(self):
+        # The column is the escape's first digit's, counted from the start
+        # of its line, as in N-Triples.
+        document = "<http://ex/a> <http://ex/p>\n\n  <http://ex/o\\u00zz> ."
+        with pytest.raises(ParseError, match=r"^line 3: .*\(column 17\)$"):
+            turtle.loads(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        letter=st.sampled_from("uU"),
+        drawn=st.lists(
+            st.sampled_from("0123456789abcdefABCDEF") | st.characters(),
+            min_size=8,
+            max_size=8,
+        ),
+        in_iri=st.booleans(),
+    )
+    def test_unicode_escapes_agree_with_ntriples(self, letter, drawn, in_iri):
+        # Both readers either build the same term or raise ParseError.
+        escape = "\\" + letter + "".join(drawn[: 4 if letter == "u" else 8])
+        obj = f"<http://ex/o{escape}>" if in_iri else f'"a{escape}b"'
+        document = f"<http://ex/s> <http://ex/p> {obj} .\n"
+        outcomes = []
+        for reader in (turtle, ntriples):
+            try:
+                outcomes.append(set(reader.loads(document).triples()))
+            except ParseError:
+                outcomes.append(ParseError)
+        assert outcomes[0] == outcomes[1]
 
     def test_error_carries_the_line_number(self):
         document = (
