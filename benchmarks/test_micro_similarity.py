@@ -191,11 +191,15 @@ def test_enrich_components(benchmark, close_pair_edges):
 
     def run():
         return enrich(
-            weighted, WeightedBipartiteGraph(close_pair_edges), interner, generation=1
+            weighted,
+            WeightedBipartiteGraph(close_pair_edges),
+            interner,
+            generation=1,
+            key=repr,
         )
 
     enriched = benchmark(run)
-    components = WeightedBipartiteGraph(close_pair_edges).components()
+    components = WeightedBipartiteGraph(close_pair_edges).components(repr)
     assert len(components) >= 196
     assert max(len(component) for component in components) == 300
     assert len({enriched.color(node) for node in nodes}) == len(components)

@@ -88,9 +88,14 @@ class AlignmentReport:
         """
         graph = result.graph
         alignment = result.alignment
+        # Each node's term is rendered once, however many pairs hold it.
+        rendered: dict[NodeId, str] = {}
 
         def render(node: "NodeId") -> str:
-            return repr(graph.original(node))
+            text = rendered.get(node)
+            if text is None:
+                text = rendered[node] = repr(graph.original(node))
+            return text
 
         pairs = tuple(
             sorted((render(s), render(t)) for s, t in alignment.pairs())

@@ -15,6 +15,8 @@ ontology renames.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..exceptions import ReproError
 from ..model.graph import NodeId, TripleGraph
 from ..model.labels import is_blank
@@ -34,6 +36,10 @@ def invent_labels(graph: TripleGraph) -> dict[NodeId, str]:
     """
     invented: dict[NodeId, str] = {}
     in_progress: set[NodeId] = set()
+    # A union's int ids say nothing; name its nodes by side and term.
+    name: Callable[[NodeId], str] = (
+        graph.sort_key if isinstance(graph, CombinedGraph) else repr
+    )
 
     def render(node: NodeId) -> str:
         label = graph.label(node)
@@ -43,7 +49,7 @@ def invent_labels(graph: TripleGraph) -> dict[NodeId, str]:
             return invented[node]
         if node in in_progress:
             raise CyclicBlankError(
-                f"blank node {node!r} participates in a blank cycle; "
+                f"blank node {name(node)} participates in a blank cycle; "
                 "label invention assumes acyclic blanks (use deblanking)"
             )
         in_progress.add(node)

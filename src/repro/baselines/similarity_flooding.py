@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..exceptions import ExperimentError
 from ..model.graph import NodeId
 from ..model.labels import is_blank
-from ..model.union import CombinedGraph
+from ..model.union import SOURCE, TARGET, CombinedGraph
 
 #: A pairwise similarity table.
 SimilarityTable = dict[tuple[NodeId, NodeId], float]
@@ -137,9 +137,9 @@ def similarity_flooding(
         ).append((subject, obj))
     propagation: dict[tuple[NodeId, NodeId], list[tuple[tuple[NodeId, NodeId], float]]] = {}
     for (side, predicate_label), edges in by_predicate_source.items():
-        if side != 1:
+        if side != SOURCE:
             continue
-        other_edges = by_predicate_source.get((2, predicate_label), [])
+        other_edges = by_predicate_source.get((TARGET, predicate_label), [])
         if not other_edges:
             continue
         for subject, obj in edges:

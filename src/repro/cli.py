@@ -323,12 +323,15 @@ def _command_align(args: argparse.Namespace) -> int:
                 pair_lines.append(
                     f"# step {step + 1}: {history[step]} -> {history[step + 1]}"
                 )
+            # Sorted on the rendered nodes: node ids follow input order.
+            graph = result.graph
+            pairs = list(result.alignment.pairs())
+            keys = {node: graph.sort_key(node) for pair in pairs for node in pair}
             for source_node, target_node in sorted(
-                result.alignment.pairs(),
-                key=lambda pair: (repr(pair[0]), repr(pair[1])),
+                pairs, key=lambda pair: (keys[pair[0]], keys[pair[1]])
             ):
-                source_term = result.graph.original(source_node)
-                target_term = result.graph.original(target_node)
+                source_term = graph.original(source_node)
+                target_term = graph.original(target_node)
                 pair_lines.append(f"{source_term!r}\t{target_term!r}")
     if args.pairs or args.output:
         text = "\n".join(pair_lines) + ("\n" if pair_lines else "")

@@ -139,10 +139,8 @@ def refine_colors(
         as_int64(buffer) for buffer in csr.subgraph_pairs(subset_ids)
     )
     subset = as_int64(subset_ids)
-    intern = interner.intern
-    num_subset = len(subset_ids)
     colors_np = _np.array(colors, dtype=_np.int64)
-    current_classes = len(_np.unique(colors_np))
+    current_classes = _class_count(colors_np)
     rounds = 0
     while True:
         if max_rounds is not None and rounds >= max_rounds:
@@ -154,10 +152,10 @@ def refine_colors(
             colors_np, subset, offsets, predicates, objects
         )
         new_colors_np = colors_np.copy()
-        new_colors_np[subset] = [
-            intern(buffer[bounds[k] : bounds[k + 1]]) for k in range(num_subset)
-        ]
-        refined_classes = len(_np.unique(new_colors_np))
+        new_colors_np[subset] = interner.intern_many(
+            buffer[start:end] for start, end in zip(bounds, bounds[1:])
+        )
+        refined_classes = _class_count(new_colors_np)
         rounds += 1
         if refined_classes == current_classes:
             # The round was a pure recoloring: the previous iterate already
@@ -165,6 +163,20 @@ def refine_colors(
             return colors_np.tolist(), rounds, True, current_classes
         colors_np = new_colors_np
         current_classes = refined_classes
+
+
+def _class_count(colors: Any) -> int:
+    """The number of distinct colors in an int64 color buffer.
+
+    Colors are small non-negative ints (interner indices), so one boolean
+    mark per possible color counts them in O(n + max color), without the
+    sort ``numpy.unique`` pays.
+    """
+    if not len(colors):
+        return 0
+    seen = _np.zeros(int(colors.max()) + 1, dtype=bool)
+    seen[colors] = True
+    return int(_np.count_nonzero(seen))
 
 
 def _check_color_budget(interner: ColorInterner) -> None:

@@ -80,10 +80,10 @@ class GroundTruth:
         """
         lifted: set[tuple[NodeId, NodeId]] = set()
         for source, target in self._source_to_target.items():
-            source_node = (1, source)
-            target_node = (2, target)
-            if source_node in graph.source_nodes and target_node in graph.target_nodes:
-                lifted.add((source_node, target_node))
+            try:
+                lifted.add((graph.from_source(source), graph.from_target(target)))
+            except AlignmentError:
+                continue
         return lifted
 
     def __repr__(self) -> str:

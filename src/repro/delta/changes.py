@@ -93,7 +93,7 @@ def compute_delta(graph: CombinedGraph, partition: Partition) -> Delta:
     delta = Delta()
 
     # ---- node-level changes -------------------------------------------
-    for node in sorted(graph.source_nodes, key=repr):
+    for node in sorted(graph.source_nodes, key=graph.sort_key):
         partners = alignment.partners(node)
         if not partners:
             delta.deleted_nodes.append(
@@ -127,7 +127,7 @@ def compute_delta(graph: CombinedGraph, partition: Partition) -> Delta:
                     source_label=graph.label(node),
                 )
             )
-    for node in sorted(graph.target_nodes, key=repr):
+    for node in sorted(graph.target_nodes, key=graph.sort_key):
         if not alignment.partners(node):
             delta.inserted_nodes.append(
                 NodeChange(
@@ -141,17 +141,17 @@ def compute_delta(graph: CombinedGraph, partition: Partition) -> Delta:
     # ---- triple-level changes (modulo the alignment) -------------------
     # Each color key keeps the edge whose rendered terms sort first, and
     # both lists are sorted by rendered terms: neither the edge set's
-    # iteration order nor the color ids may reach the output, since both
-    # vary with hash randomization.
-    rendered = {node: _render(node) for node in graph.nodes()}
+    # iteration order, the color ids nor the node ids (which follow input
+    # order) may reach the output.
+    rendered = {node: _render(graph.original(node)) for node in graph.nodes()}
     source_triples: dict[tuple, tuple[tuple[str, str, str], Edge]] = {}
     target_triples: dict[tuple, tuple[tuple[str, str, str], Edge]] = {}
-    source_nodes = graph.source_nodes
+    split = graph.num_source_nodes
     for edge in graph.edges():
         subject, predicate, obj = edge
         key = (partition[subject], partition[predicate], partition[obj])
         text = (rendered[subject], rendered[predicate], rendered[obj])
-        side = source_triples if subject in source_nodes else target_triples
+        side = source_triples if subject < split else target_triples  # type: ignore[operator]
         kept = side.get(key)
         if kept is None or text < kept[0]:
             side[key] = (text, edge)
@@ -165,9 +165,8 @@ def compute_delta(graph: CombinedGraph, partition: Partition) -> Delta:
     return delta
 
 
-def _render(node: NodeId) -> str:
-    """A combined node's original id as N-Triples text (``repr`` if no term)."""
-    original = node[1]  # type: ignore[index]
+def _render(original: NodeId) -> str:
+    """A version node id as N-Triples text (``repr`` if it is no term)."""
     if isinstance(original, (URI, Literal, BlankNode)):
         return format_term(original)
     return repr(original)

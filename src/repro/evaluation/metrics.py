@@ -16,7 +16,8 @@ Two counting conventions are used by the paper's figures:
 from __future__ import annotations
 
 from ..datasets.ground_truth import GroundTruth
-from ..model.union import SOURCE, CombinedGraph
+from ..exceptions import PartitionError
+from ..model.union import CombinedGraph
 from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
 from ..partition.interner import Color
@@ -27,15 +28,22 @@ def aligned_edge_counts(
 ) -> tuple[int, int]:
     """``(|T1 ∩ T2|, |T1 ∪ T2|)`` over distinct edge color triples.
 
-    One pass over the edges: the subject's id carries the edge's side
-    (``(SOURCE | TARGET, n)``, see :mod:`repro.model.union`).
+    One pass over the edges: the subject's int id carries the edge's
+    side (source ids come first, see :mod:`repro.model.union`).
     """
+    split = graph.num_source_nodes
+    colors = partition.as_dict()  # plain dict lookups, not a method call each
     source_triples: set[tuple[Color, Color, Color]] = set()
     target_triples: set[tuple[Color, Color, Color]] = set()
-    for subject, predicate, obj in graph.edges():
-        side = subject[0]  # type: ignore[index]
-        triples = source_triples if side == SOURCE else target_triples
-        triples.add((partition[subject], partition[predicate], partition[obj]))
+    try:
+        for subject, predicate, obj in graph.edges():
+            is_source = subject < split  # type: ignore[operator]
+            triples = source_triples if is_source else target_triples
+            triples.add((colors[subject], colors[predicate], colors[obj]))
+    except KeyError as missing:
+        raise PartitionError(
+            f"partition does not cover node {missing.args[0]!r}"
+        ) from None
     return (
         len(source_triples & target_triples),
         len(source_triples | target_triples),
@@ -68,7 +76,7 @@ def ground_truth_entity_count(graph: CombinedGraph, truth: GroundTruth) -> int:
 def total_entity_count(graph: CombinedGraph, truth: GroundTruth) -> int:
     """Figure 13's ``Total``: deduplicated node count of the version pair."""
     shared = ground_truth_entity_count(graph, truth)
-    return len(graph.source_nodes) + len(graph.target_nodes) - shared
+    return graph.num_nodes - shared
 
 
 def recall_against_truth(

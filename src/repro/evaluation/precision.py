@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datasets.ground_truth import GroundTruth
+from ..exceptions import AlignmentError
 from ..model.graph import NodeId
 from ..model.union import SOURCE, CombinedGraph
 from ..partition.alignment import PartitionAlignment
@@ -87,14 +88,14 @@ def precision_counts(
     for node in graph.nodes():
         term = graph.original(node)
         if graph.side(node) == SOURCE:
-            partner_term = truth.partner_of_source(term)
-            partner = (2, partner_term) if partner_term is not None else None
-            if partner is not None and partner not in graph.target_nodes:
-                partner = None
+            partner_term, lift = truth.partner_of_source(term), graph.from_target
         else:
-            partner_term = truth.partner_of_target(term)
-            partner = (1, partner_term) if partner_term is not None else None
-            if partner is not None and partner not in graph.source_nodes:
-                partner = None
+            partner_term, lift = truth.partner_of_target(term), graph.from_source
+        partner: NodeId | None = None
+        if partner_term is not None:
+            try:
+                partner = lift(partner_term)
+            except AlignmentError:  # the partner is not in its version
+                pass
         counts[classify_node(alignment, node, partner)] += 1
     return PrecisionCounts(**counts)

@@ -16,6 +16,8 @@ from ..datasets.efo import EFOGenerator
 from ..datasets.gtopdb import GtoPdbGenerator
 from ..evaluation.precision import classify_node
 from ..evaluation.reporting import render_table
+from ..exceptions import AlignmentError
+from ..model.union import SOURCE
 from ..partition.alignment import align
 from ..partition.interner import ColorInterner
 from ..partition.weighted import zero_weighted
@@ -34,13 +36,20 @@ def _predicate_precision(union, truth, partition) -> dict[str, int]:
     counts = {"exact": 0, "inclusive": 0, "missing": 0, "false": 0}
     for node in predominantly_predicates(union):
         term = union.original(node)
-        if union.side(node) == 1:
-            partner_term = truth.partner_of_source(term)
-            partner = (2, partner_term) if partner_term else None
+        if union.side(node) == SOURCE:
+            partner_term, lift = truth.partner_of_source(term), union.from_target
         else:
-            partner_term = truth.partner_of_target(term)
-            partner = (1, partner_term) if partner_term else None
-        counts[classify_node(alignment, node, partner)] += 1
+            partner_term, lift = truth.partner_of_target(term), union.from_source
+        if partner_term is None:
+            category = classify_node(alignment, node, None)
+        else:
+            try:
+                category = classify_node(alignment, node, lift(partner_term))
+            except AlignmentError:
+                # A partner outside its version is never among the node's
+                # partners.
+                category = "missing"
+        counts[category] += 1
     return counts
 
 

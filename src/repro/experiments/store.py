@@ -54,7 +54,8 @@ from ..datasets.synthetic import SHAPE_FAMILIES
 from ..exceptions import CorruptStoreError, ExperimentError
 from ..model.csr import CSRGraph
 from ..model.graph import NodeId, TripleGraph
-from ..model.union import SOURCE, CombinedGraph
+from ..model.labels import is_blank
+from ..model.union import CombinedGraph
 from ..partition.coloring import Partition, label_partition
 from ..partition.interner import ColorInterner
 from ..similarity.overlap_alignment import OverlapTrace, overlap_partition
@@ -232,14 +233,17 @@ def compose_deblank_partition(
     colors: dict[NodeId, int] = {}
     label_color = interner.label_color
     intern = interner.intern
+    original = union.original
+    split = union.num_source_nodes
     for node, label in union.labels().items():
-        side, original = node
-        if side == SOURCE:
-            cid = source_summary.classes.get(original)
-            joint_colors = source_colors
-        else:
-            cid = target_summary.classes.get(original)
-            joint_colors = target_colors
+        cid = None
+        if is_blank(label):  # only blank nodes have summary classes
+            if node < split:  # type: ignore[operator]
+                cid = source_summary.classes.get(original(node))
+                joint_colors = source_colors
+            else:
+                cid = target_summary.classes.get(original(node))
+                joint_colors = target_colors
         if cid is None:
             colors[node] = label_color(label)
         else:
@@ -303,6 +307,8 @@ class VersionStore:
         self._chain_interner = ColorInterner()
         self._canon_cache: dict = {}
         self._csr_blocks: dict[int, CSRGraph] = {}
+        #: Versions whose block was checked against the graph's node order.
+        self._matched_blocks: set[int] = set()
         self._edge_tokens: dict[tuple[int, str], frozenset] = {}
         self._trivial_sides: dict[tuple[int, int], frozenset] = {}
         self._static_stats: dict[tuple[int, int], tuple[int, int]] = {}
@@ -486,20 +492,16 @@ class VersionStore:
         blanks = graph.blanks()
         static_set: set = set()
         blank_set: set = set()
+
+        def token(node: NodeId) -> Token:
+            return blank_token(node) if node in blanks else labels[node]
+
         for edge in graph.edges():
+            subject, predicate, obj = edge
             if blanks.isdisjoint(edge):
-                static_set.add(
-                    tuple(("n", labels[node]) for node in edge)
-                )
+                static_set.add((labels[subject], labels[predicate], labels[obj]))
             else:
-                blank_set.add(
-                    tuple(
-                        blank_token(node)
-                        if node in blanks
-                        else ("n", labels[node])
-                        for node in edge
-                    )
-                )
+                blank_set.add((token(subject), token(predicate), token(obj)))
         static = frozenset(static_set)
         blank_part = frozenset(blank_set)
         self._edge_tokens[static_key] = static
@@ -509,9 +511,12 @@ class VersionStore:
     def edge_tokens(self, version: int, method: str) -> frozenset:
         """The version's distinct edge triples over node tokens.
 
-        ``method="trivial"`` marks blank nodes with their identity
-        (``("b", node)``), ``method="deblank"`` with their fixpoint class
-        (``("c", class_id)``); non-blank nodes are always ``("n", label)``.
+        A non-blank node's token is its label itself.  ``method="trivial"``
+        marks blank nodes with their identity (``("b", node)``),
+        ``method="deblank"`` with their fixpoint class (``("c", class_id)``).
+        No label equals a blank token: labels are tuples tagged with an
+        int kind, blank tokens are tagged with a ``str``.  Labels are
+        values, so tokens built in different processes agree.
         """
         key = (version, method + "-all")
         cached = self._edge_tokens.get(key)
@@ -569,10 +574,27 @@ class VersionStore:
             self._union_csrs,
             (source, target),
             lambda: CSRGraph.from_blocks(
-                self.csr_block(source), self.csr_block(target)
+                self._union_block(source), self._union_block(target)
             ),
             "union_csr",
         )
+
+    def _union_block(self, version: int) -> CSRGraph:
+        """The version's CSR block, checked once to list the graph's nodes.
+
+        The union numbers each version's nodes in the graph's node order
+        and :meth:`CSRGraph.from_blocks` in the block's, so a block in any
+        other order would give each union id another node's adjacency.
+        """
+        block = self.csr_block(version)
+        if version not in self._matched_blocks:
+            if block.nodes != list(self.graph(version).nodes()):
+                raise ExperimentError(
+                    f"the CSR block of version {version} does not list the "
+                    "version graph's nodes in the graph's order"
+                )
+            self._matched_blocks.add(version)
+        return block
 
     def ground_truth(self, source: int, target: int):
         """The generator's ground truth for a pair (generators that have one)."""
@@ -938,11 +960,15 @@ class VersionStore:
         *expect* pins the archive identity (family/scale/seed/versions):
         a mismatch raises instead of silently aligning the wrong data.
         CSR blocks come back as read-only views over the backend's block
-        storage (memory-mapped files for :class:`DiskBackend`).
+        storage (memory-mapped files for :class:`DiskBackend`).  Graphs
+        are stored as sorted N-Triples, so each reparsed graph is rebuilt
+        to list its nodes in its block's order: union ids are the blocks'
+        dense ids.
 
         **Quarantine-and-rebuild:** derived artifacts (CSR blocks,
         summaries, edge tokens, literal splits) that fail checksum
-        verification or unpickling are *skipped* — recorded on
+        verification or unpickling, and edge tokens in the old
+        ``("n", label)`` shape, are *skipped* — recorded on
         ``store.quarantined`` — and lazily rebuilt from the version
         graphs, which are the archive's source of truth.  A corrupt
         *graph* blob cannot be rebuilt and raises
@@ -991,9 +1017,6 @@ class VersionStore:
                     f"persisted store is missing graphs/{version}.nt"
                 )
             graphs.append(ntriples.loads(blob.decode("utf-8")))
-        store = cls(_PrebuiltHistory(graphs))
-        store.identity = identity or None
-        store.backend = backend
         quarantined: list[dict] = []
 
         def salvage(description: str, rebuild_fn):
@@ -1010,21 +1033,29 @@ class VersionStore:
                 )
                 return None
 
+        blocks: dict[int, CSRGraph] = {}
         for version in range(versions):
             def load_block(version=version):
                 nodes_blob = backend.get_blob(f"csr/{version}/nodes")
                 if nodes_blob is None:
                     return None
-                return CSRGraph.from_parts(
-                    pickle.loads(nodes_blob),
-                    backend.get_array(f"csr/{version}/offsets"),
-                    backend.get_array(f"csr/{version}/predicates"),
-                    backend.get_array(f"csr/{version}/objects"),
-                )
+                arrays = [
+                    backend.get_array(f"csr/{version}/{part}")
+                    for part in ("offsets", "predicates", "objects")
+                ]
+                # The graph was reparsed from sorted N-Triples; the block
+                # keeps the node order of the graph it was built from.
+                graph = _in_node_order(graphs[version], pickle.loads(nodes_blob))
+                graphs[version] = graph
+                return CSRGraph.from_parts(list(graph.nodes()), *arrays)
 
             block = salvage(f"csr/{version}", load_block)
             if block is not None:
-                store._csr_blocks[version] = block
+                blocks[version] = block
+        store = cls(_PrebuiltHistory(graphs))
+        store.identity = identity or None
+        store.backend = backend
+        store._csr_blocks.update(blocks)
         for key, attribute in (
             ("artifacts/summaries", "_summaries"),
             ("artifacts/edge_tokens", "_edge_tokens"),
@@ -1032,7 +1063,12 @@ class VersionStore:
         ):
             def load_artifact(key=key):
                 blob = backend.get_blob(key)
-                return None if blob is None else pickle.loads(blob)
+                if blob is None:
+                    return None
+                payload = pickle.loads(blob)
+                if key == "artifacts/edge_tokens":
+                    _check_token_shape(payload)
+                return payload
 
             payload = salvage(key, load_artifact)
             if payload is not None:
@@ -1088,16 +1124,63 @@ class _PrebuiltHistory:
         )
 
 
+def _in_node_order(graph: TripleGraph, nodes: Sequence[NodeId]) -> TripleGraph:
+    """*graph* with its nodes listed in the order of *nodes*.
+
+    Union ids are CSR dense ids, i.e. positions in a version's node order,
+    so a persisted block can only serve a graph that lists its nodes in
+    the block's order.  Raises :class:`ValueError` when *nodes* are not
+    exactly the graph's nodes; the load then quarantines the block and
+    rebuilds it from the graph.
+    """
+    labels = graph.labels()
+    if list(labels) == nodes:
+        return graph
+    # The rebuilt graph keeps the graph's own node objects, which its
+    # edges already hold, rather than the block's equal copies.
+    own = {node: node for node in labels}
+    ordered = type(graph)()
+    try:
+        for node in nodes:
+            node = own[node]
+            ordered.add_node(node, labels[node])
+    except (KeyError, TypeError):  # TypeError: an unhashable entry
+        raise ValueError("the CSR block lists a node the graph lacks") from None
+    if len(nodes) != len(labels) or ordered.num_nodes != len(labels):
+        raise ValueError("the CSR block does not list each graph node once")
+    ordered.add_edges(graph.edges())
+    return ordered
+
+
+def _check_token_shape(edge_tokens: dict) -> None:
+    """Refuse edge tokens persisted in the old ``("n", label)`` shape.
+
+    Archives written before labels became their own tokens wrapped every
+    non-blank node as ``("n", label)``.  Such sets never intersect fresh
+    ones, so the load quarantines them (ValueError) and they are rebuilt.
+    """
+    for triples in edge_tokens.values():
+        for triple in triples:
+            for token in triple:
+                if type(token) is tuple and token[0] == "n":
+                    raise ValueError(
+                        "edge tokens use the old ('n', label) node shape"
+                    )
+
+
 def _retag_blanks(
     triples: frozenset, tag: str, rewrite: Callable[[Hashable], Token]
 ) -> frozenset:
-    """Rewrite every ``(tag, payload)`` token of a triple set via *rewrite*."""
-    out = set()
-    for triple in triples:
-        out.add(
-            tuple(
-                rewrite(tok[1]) if tok[0] == tag else tok
-                for tok in triple
-            )
-        )
-    return frozenset(out)
+    """Rewrite every ``(tag, payload)`` token of a triple set via *rewrite*.
+
+    Labels are tuple subclasses and blank tokens plain tuples, so the
+    exact type tells a blank token before its tag is compared.
+    """
+
+    def retag(tok: Token) -> Token:
+        return rewrite(tok[1]) if type(tok) is tuple and tok[0] == tag else tok
+
+    return frozenset(
+        (retag(subject), retag(predicate), retag(obj))
+        for subject, predicate, obj in triples
+    )

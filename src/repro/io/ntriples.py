@@ -28,7 +28,7 @@ import sys
 from typing import TextIO
 
 from ..exceptions import ParseError
-from ..model.labels import Literal, URI, is_blank
+from ..model.labels import Literal, URI
 from ..model.rdf import BlankNode, RDFGraph, Term
 
 _ESCAPES = {

@@ -227,23 +227,21 @@ class CSRGraph:
 
         Given CSR snapshots of the two *plain* version graphs, build the
         snapshot of their disjoint union ``CombinedGraph(source, target)``
-        without re-walking either graph: the union's node order is exactly
-        "all source nodes, then all target nodes" (side-tagged), so the
-        adjacency arrays are the source block followed by the target block
-        with every dense id offset by ``source.num_nodes``.
+        without re-walking either graph: the union numbers "all source
+        nodes, then all target nodes", so its node ids are the dense ids
+        ``0 .. n1+n2-1`` and the adjacency arrays are the source block
+        followed by the target block with every dense id offset by
+        ``source.num_nodes``.
 
         This is the batch-execution fast path (see
         :class:`repro.experiments.store.VersionStore`): each version's
         block is built once and shared by every matrix cell touching it.
         """
-        from .union import SOURCE, TARGET  # late import: union is a sibling
-
         snapshot = cls.__new__(cls)
         offset = source.num_nodes
-        nodes: list[NodeId] = [(SOURCE, node) for node in source.nodes]
-        nodes.extend((TARGET, node) for node in target.nodes)
-        snapshot.nodes = nodes
-        snapshot.index = {node: i for i, node in enumerate(nodes)}
+        count = offset + target.num_nodes
+        snapshot.nodes = list(range(count))
+        snapshot.index = dict(zip(snapshot.nodes, range(count)))
         offsets = array(INDEX_TYPECODE, source.out_offsets)
         base = source.out_offsets[-1]
         offsets.extend(base + v for v in target.out_offsets[1:])

@@ -20,7 +20,7 @@ URI and literal labels are tagged tuples, ``(TAG_URI, value)`` and
 language or datatype, and define no ``__hash__`` or ``__eq__``: hashing and
 comparing them, and every tuple that holds them, runs in C.  A label equals
 the plain tuple of its fields.  The tags differ per kind and avoid 1 and 2,
-the union's side markers, so no label equals a union id ``(side, node)``.
+the union's side markers, so no label equals a ``(side, node)`` pair.
 Labels order like tuples, but code orders them by :func:`label_sort_key`.
 Pickles and copies rebuild a term through its constructor, so a pickle of
 the former dataclass terms fails to load instead of building half a term.

@@ -13,13 +13,14 @@ work on exactly those nodes.
 :class:`PartitionAlignment` is built in one pass over the partition's
 ``(node, color)`` items:
 
-* a node's side is read from its identifier — the union tags every node
-  as ``(SOURCE | TARGET, n)`` (:mod:`repro.model.union`), so ``node[0]``
-  is the side and the pass hashes no member (nor probes the side sets);
+* a node's side is read from its identifier — union ids are ints and
+  every source id is below every target id (:mod:`repro.model.union`),
+  so one comparison with ``graph.num_source_nodes`` gives the side and
+  the pass probes no side set;
 * the pass only counts, per color, the source and target members, which
   answers :meth:`~PartitionAlignment.matched_class_count`,
-  :meth:`~PartitionAlignment.pair_count` and, with one more pass each,
-  the cached unaligned sets;
+  :meth:`~PartitionAlignment.pair_count` and, with one more pass for
+  both sides, the cached unaligned sets;
 * reading the side from the id is sound only for partitions of exactly
   this graph, so the constructor refuses a partition whose size differs
   from the graph's node count (an O(1) :class:`AlignmentError` guard);
@@ -66,7 +67,7 @@ class PartitionAlignment:
 
     __slots__ = (
         "_graph", "_partition", "_source_counts", "_target_counts",
-        "_sides", "_unaligned_source", "_unaligned_target",
+        "_sides", "_unaligned",
     )
 
     def __init__(self, graph: CombinedGraph, partition: Partition) -> None:
@@ -77,17 +78,16 @@ class PartitionAlignment:
             )
         self._graph = graph
         self._partition = partition
+        split = graph.num_source_nodes
         source_counts: dict[Color, int] = {}
         target_counts: dict[Color, int] = {}
         for node, color in partition.items():
-            side = node[0]  # type: ignore[index]
-            counts = source_counts if side == SOURCE else target_counts
+            counts = source_counts if node < split else target_counts
             counts[color] = counts.get(color, 0) + 1
         self._source_counts = source_counts
         self._target_counts = target_counts
         self._sides: dict[Color, ClassSides] | None = None
-        self._unaligned_source: frozenset[NodeId] | None = None
-        self._unaligned_target: frozenset[NodeId] | None = None
+        self._unaligned: tuple[frozenset[NodeId], frozenset[NodeId]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -110,6 +110,7 @@ class PartitionAlignment:
             if matched_only
             else None
         )
+        split = self._graph.num_source_nodes
         members: dict[Color, tuple[list[NodeId], list[NodeId]]] = {}
         for node, color in self._partition.items():
             if matched is not None and color not in matched:
@@ -117,7 +118,7 @@ class PartitionAlignment:
             lists = members.get(color)
             if lists is None:
                 lists = members[color] = ([], [])
-            lists[0 if node[0] == SOURCE else 1].append(node)  # type: ignore[index]
+            lists[0 if node < split else 1].append(node)
         return members
 
     def _class_sides(self) -> dict[Color, ClassSides]:
@@ -145,7 +146,7 @@ class PartitionAlignment:
     def partners(self, node: NodeId) -> frozenset[NodeId]:
         """All opposite-side nodes aligned with *node* (possibly empty)."""
         sides = self._class_sides()[self._partition[node]]
-        if node[0] == SOURCE:  # type: ignore[index]
+        if node < self._graph.num_source_nodes:  # type: ignore[operator]
             return sides.target
         return sides.source
 
@@ -175,29 +176,32 @@ class PartitionAlignment:
         return len(self._source_counts.keys() & self._target_counts.keys())
 
     # -- unaligned nodes ----------------------------------------------------
-    # The partition is immutable after __init__, so each side's pass runs
-    # once and is cached; frozensets keep repeat callers from mutating the
-    # cache.
+    # The partition is immutable after __init__, so one pass finds both
+    # sides' unaligned nodes and caches them; frozensets keep repeat
+    # callers from mutating the cache.
     def unaligned_source(self) -> frozenset[NodeId]:
         """``Unaligned_1(λ)``: source nodes with no target partner."""
-        if self._unaligned_source is None:
-            self._unaligned_source = self._unaligned_side(SOURCE, self._target_counts)
-        return self._unaligned_source
+        return self._unaligned_sides()[0]
 
     def unaligned_target(self) -> frozenset[NodeId]:
         """``Unaligned_2(λ)``: target nodes with no source partner."""
-        if self._unaligned_target is None:
-            self._unaligned_target = self._unaligned_side(TARGET, self._source_counts)
-        return self._unaligned_target
+        return self._unaligned_sides()[1]
 
-    def _unaligned_side(
-        self, side: int, opposite_counts: dict[Color, int]
-    ) -> frozenset[NodeId]:
-        return frozenset(
-            node
-            for node, color in self._partition.items()
-            if node[0] == side and color not in opposite_counts  # type: ignore[index]
-        )
+    def _unaligned_sides(self) -> tuple[frozenset[NodeId], frozenset[NodeId]]:
+        if self._unaligned is None:
+            split = self._graph.num_source_nodes
+            source_counts = self._source_counts
+            target_counts = self._target_counts
+            source: list[NodeId] = []
+            target: list[NodeId] = []
+            for node, color in self._partition.items():
+                if node < split:
+                    if color not in target_counts:
+                        source.append(node)
+                elif color not in source_counts:
+                    target.append(node)
+            self._unaligned = (frozenset(source), frozenset(target))
+        return self._unaligned
 
     def unaligned(self) -> frozenset[NodeId]:
         """``Unaligned(λ) = Unaligned_1(λ) ∪ Unaligned_2(λ)``."""

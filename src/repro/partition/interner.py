@@ -24,7 +24,8 @@ Key conventions used across the library (see
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from itertools import islice
+from typing import Hashable, Iterable, Iterator
 
 #: Interned colors are plain ints.
 Color = int
@@ -50,6 +51,20 @@ class ColorInterner:
             self._by_key[key] = color
             self._keys.append(key)
         return color
+
+    def intern_many(self, keys: Iterable[Hashable]) -> list[Color]:
+        """The colors of *keys*, in order, as repeated :meth:`intern` calls.
+
+        One ``dict.setdefault`` per key, with the table's size as the
+        default: a new key gets exactly the color :meth:`intern` would
+        allocate.  The new keys then join the key list in insertion order.
+        """
+        by_key = self._by_key
+        start = len(by_key)
+        setdefault = by_key.setdefault
+        colors = [setdefault(key, len(by_key)) for key in keys]
+        self._keys.extend(islice(by_key, start, None))
+        return colors
 
     def key(self, color: Color) -> Hashable:
         """The structural key that produced *color*."""

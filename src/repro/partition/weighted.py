@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ..exceptions import PartitionError
 from ..model.graph import NodeId
-from ..model.union import SOURCE, CombinedGraph
+from ..model.union import CombinedGraph
 from ..oplus import oplus
 from .alignment import PartitionAlignment
 from .coloring import Partition

@@ -284,8 +284,8 @@ def dense_overlap_partition(
     index = csr.index
     colors = csr.gather_colors(base.as_dict())
     weights = [0.0] * csr.num_nodes
-    source_nodes = graph.source_nodes
-    is_source = [node in source_nodes for node in nodes]
+    split = graph.num_source_nodes  # union ids are the snapshot's dense ids
+    is_source = [dense < split for dense in range(csr.num_nodes)]
     is_literal = [graph.is_literal_node(node) for node in nodes]
     tracker = AlignmentTracker(colors, is_source)
 
@@ -307,7 +307,9 @@ def dense_overlap_partition(
     for generation in range(1, max_rounds + 1):
         # Enrich(ξ, H): fold the matched components into the buffers.
         if not close_pairs.is_empty:
-            for component_index, component in enumerate(close_pairs.components()):
+            for component_index, component in enumerate(
+                close_pairs.components(graph.sort_key)
+            ):
                 color = interner.component_color(generation, component_index)
                 for node in component:
                     dense = index[node]

@@ -92,11 +92,15 @@ class EditDistance:
         self._unaligned_literals_target = {
             m for m in unaligned_target if graph.is_literal_node(m)
         }
+        # Node ids follow input order; every order here is taken over the
+        # rendered nodes instead.
         self._unaligned_source = sorted(
-            (n for n in unaligned_source if not graph.is_literal_node(n)), key=repr
+            (n for n in unaligned_source if not graph.is_literal_node(n)),
+            key=graph.sort_key,
         )
         self._unaligned_target = sorted(
-            (m for m in unaligned_target if not graph.is_literal_node(m)), key=repr
+            (m for m in unaligned_target if not graph.is_literal_node(m)),
+            key=graph.sort_key,
         )
         pair_count = len(self._unaligned_source) * len(self._unaligned_target)
         if pair_count > max_pairs:
@@ -144,9 +148,14 @@ class EditDistance:
             return self._literal_distance(source, target)
         return 1.0
 
+    def _pair_key(self, pair: tuple[NodeId, NodeId]) -> str:
+        """An out-pair rendered as ``repr`` renders a pair of ``(side, term)``."""
+        key = self._graph.sort_key
+        return f"({key(pair[0])}, {key(pair[1])})"
+
     def _matching_value(self, source: NodeId, target: NodeId) -> float:
-        out_source = sorted(self._graph.out(source), key=repr)
-        out_target = sorted(self._graph.out(target), key=repr)
+        out_source = sorted(self._graph.out(source), key=self._pair_key)
+        out_target = sorted(self._graph.out(target), key=self._pair_key)
         normalizer = max(len(out_source), len(out_target))
         if normalizer == 0:
             # Two unaligned sinks: no distinguishing content.

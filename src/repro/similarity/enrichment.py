@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..model.graph import NodeId
 from ..partition.interner import ColorInterner
@@ -77,8 +77,13 @@ class WeightedBipartiteGraph:
         """The :meth:`adjacency` every search of this graph reads."""
         return self.adjacency()
 
-    def components(self) -> list[frozenset[NodeId]]:
-        """Maximal connected components, deterministically ordered."""
+    def components(self, key: Callable[[NodeId], str]) -> list[frozenset[NodeId]]:
+        """Maximal connected components, ordered by their least *key*.
+
+        Over a combined graph pass its ``sort_key``: union ids follow
+        input order, their rendering does not.  There is no default, so
+        no caller falls back to an order the ids leak into.
+        """
         adjacency = self._neighbors
         seen: set[NodeId] = set()
         components: list[frozenset[NodeId]] = []
@@ -98,7 +103,7 @@ class WeightedBipartiteGraph:
                 )
             seen.update(component)
             components.append(frozenset(component))
-        components.sort(key=lambda c: min(repr(node) for node in c))
+        components.sort(key=lambda c: min(key(node) for node in c))
         return components
 
 
@@ -161,7 +166,7 @@ def _farthest(
 def component_weights(
     graph: WeightedBipartiteGraph, component: frozenset[NodeId]
 ) -> dict[NodeId, float]:
-    """The paper's weight assignment for one component of ``graph.components()``.
+    """The paper's weight assignment for one component of ``graph.components(key)``.
 
     Every source node gets half its maximum ``d*`` distance to a target
     node of the component, and vice versa; then for any matched pair,
@@ -194,17 +199,21 @@ def enrich(
     close_pairs: WeightedBipartiteGraph,
     interner: ColorInterner,
     generation: int = 0,
+    *,
+    key: Callable[[NodeId], str],
 ) -> WeightedPartition:
     """``Enrich(ξ, H)``: fold the matched components into the partition.
 
     *generation* keeps component colors from different enrichment rounds
-    distinct (Algorithm 2 calls this once per iteration).
+    distinct (Algorithm 2 calls this once per iteration).  *key* orders
+    the components, and so their colors (see
+    :meth:`WeightedBipartiteGraph.components`).
     """
     if close_pairs.is_empty:
         return weighted
     color_updates: dict[NodeId, int] = {}
     weight_updates: dict[NodeId, float] = {}
-    for index, component in enumerate(close_pairs.components()):
+    for index, component in enumerate(close_pairs.components(key)):
         color = interner.component_color(generation, index)
         for node in component:
             color_updates[node] = color

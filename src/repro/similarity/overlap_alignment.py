@@ -259,7 +259,7 @@ def overlap_partition(
         weight_stats = WeightFixpointStats()
         weighted = propagate(
             graph,
-            enrich(weighted, close_pairs, interner, generation),
+            enrich(weighted, close_pairs, interner, generation, key=graph.sort_key),
             interner,
             epsilon=epsilon,
             operator=operator,

@@ -127,7 +127,7 @@ def refine_predicates(
         distance,
         probe=probe,
     )
-    return enrich(weighted, matches, interner, generation=generation)
+    return enrich(weighted, matches, interner, generation, key=graph.sort_key)
 
 
 def predicate_aware_overlap(

@@ -6,12 +6,18 @@ The overlap heuristic characterizes literals by their word set via
 :func:`split_words` (Algorithm 2's ``split`` function).
 
 Three Levenshtein variants are provided and benchmarked against each
-other in ``bench_micro_levenshtein``:
+other in ``benchmarks/test_micro_similarity.py``:
 
-* :func:`levenshtein` — classic two-row dynamic program,
+* :func:`levenshtein` — Hyyrö's bit-vector form of Myers' algorithm over
+  Python ints: one column of the dynamic program per character of the
+  shorter string, each column a handful of big-int operations, so long
+  strings cost no extra Python-level steps;
 * :func:`levenshtein_banded` — diagonal band when only distances below a
   cutoff matter (O(cutoff·max(|s|,|t|)) time),
 * early-exit length test built into :func:`bounded_normalized_levenshtein`.
+
+The classic two-row dynamic program stays in the tests as the reference
+that :func:`levenshtein` must equal.
 """
 
 from __future__ import annotations
@@ -26,30 +32,45 @@ def levenshtein(first: str, second: str) -> int:
 
     >>> levenshtein("abc", "ac")
     1
+
+    Bit ``i`` of the vectors describes row ``i`` of the current column of
+    the dynamic program over the longer string (the *pattern*): whether
+    the vertical or horizontal difference to the neighbouring cell is +1
+    or -1 (Hyyrö, 2003).  The last row's horizontal difference moves the
+    distance, which starts at the pattern length.
     """
     if first == second:
         return 0
-    # Keep the shorter string in the inner dimension.
+    # The loop runs over the shorter string; the longer one is the pattern.
     if len(first) < len(second):
         first, second = second, first
     if not second:
         return len(first)
-    previous = list(range(len(second) + 1))
-    current = [0] * (len(second) + 1)
-    for row, char_first in enumerate(first, start=1):
-        current[0] = row
-        for col, char_second in enumerate(second, start=1):
-            substitution = previous[col - 1] + (char_first != char_second)
-            deletion = previous[col] + 1
-            insertion = current[col - 1] + 1
-            best = substitution
-            if deletion < best:
-                best = deletion
-            if insertion < best:
-                best = insertion
-            current[col] = best
-        previous, current = current, previous
-    return previous[len(second)]
+    matches: dict[str, int] = {}
+    bit = 1
+    for char in first:
+        matches[char] = matches.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    vertical_up, vertical_down = full, 0
+    distance = len(first)
+    for char in second:
+        match = matches.get(char, 0)
+        column = match | vertical_down
+        diagonal = (((match & vertical_up) + vertical_up) ^ vertical_up) | match
+        horizontal_up = vertical_down | (full & ~(diagonal | vertical_up))
+        horizontal_down = vertical_up & diagonal
+        if horizontal_up & last:
+            distance += 1
+        elif horizontal_down & last:
+            distance -= 1
+        # Row 0 of every column is one more than the last: shift in a +1.
+        horizontal_up = ((horizontal_up << 1) | 1) & full
+        horizontal_down = (horizontal_down << 1) & full
+        vertical_up = horizontal_down | (full & ~(column | horizontal_up))
+        vertical_down = horizontal_up & column
+    return distance
 
 
 def levenshtein_banded(first: str, second: str, cutoff: int) -> int:

@@ -81,6 +81,7 @@ from ..align.registry import method_names, method_order
 from ..benchlog import append_bench_entry  # noqa: F401  (re-exported; CI uses it)
 from ..datasets.synthetic import SCENARIOS, SyntheticConfig, SyntheticGenerator
 from ..exceptions import ReproError
+from ..experiments.cells import method_counts_cell
 from ..experiments.parallel import run_store_cells
 from ..experiments.store import VersionStore
 from ..io.atomic import atomic_write_text
@@ -553,9 +554,12 @@ class _ScenarioOracle:
         :class:`~repro.experiments.store.VersionStore`, persisted through
         **every** backend — an in-process ``MemoryBackend`` and a
         ``DiskBackend`` under a temporary directory — and loaded back.
-        Two invariants per backend: the reloaded CSR blocks are
+        Three invariants per backend: the reloaded CSR blocks are
         bit-identical to the originals (the flat int64 block files /
-        memory-maps lose nothing), and re-aligning the reloaded graphs
+        memory-maps lose nothing), Figure 11's store cells give the
+        in-memory store's rows on every engine (its dense cells read the
+        reloaded blocks, whose dense ids must be the reloaded graphs'
+        union ids), and re-aligning the reloaded graphs
         yields byte-identical report JSON on every method × pair (the
         canonical sorted N-Triples round trip preserves alignment
         semantics exactly).  Refusals must stay consistent in *type*:
@@ -583,8 +587,24 @@ class _ScenarioOracle:
             ]
             self.report.cells += len(self.report.pairs)
 
+        pairs = list(self.report.pairs)
+
+        def store_rows(store, engine: str) -> str:
+            # Figure 11's cells read the store's own CSR blocks, which the
+            # re-alignments below never touch.
+            try:
+                return repr(run_store_cells(
+                    store, method_counts_cell, pairs,
+                    config=AlignConfig(engine=engine), jobs=1,
+                ))
+            except ReproError as error:
+                return f"refusal:{type(error).__name__}"
+
         source = VersionStore(self.generator)
         source.prepare(summaries=True, csr=True)
+        baseline_rows = {
+            engine: store_rows(source, engine) for engine in self.report.engines
+        }
         with tempfile.TemporaryDirectory() as tmp:
             backends = {
                 "memory": MemoryBackend(),
@@ -609,6 +629,15 @@ class _ScenarioOracle:
                             "persistence_parity", "csr",
                             f"CSR block of version {version} is not "
                             f"bit-identical after the {label} round trip",
+                        )
+                for cell_engine, rows in baseline_rows.items():
+                    self.report.cells += len(pairs)
+                    if store_rows(loaded, cell_engine) != rows:
+                        self._diverge(
+                            "persistence_parity", "store_cells",
+                            f"Figure 11 store cells of the {label}-backend "
+                            f"round trip differ from the in-memory store's "
+                            f"(engine={cell_engine})",
                         )
                 graphs = loaded.graphs()
                 for method in self.report.methods:

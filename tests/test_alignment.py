@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation.metrics import aligned_edge_counts
 from repro.exceptions import AlignmentError
-from repro.model import SOURCE, RDFGraph, TripleGraph, blank, combine, lit, uri
+from repro.model import RDFGraph, TripleGraph, blank, combine, lit, uri
 from repro.partition import alignment as alignment_module
 from repro.partition.alignment import (
     ClassSides,
@@ -297,7 +297,7 @@ def banded_union(size):
     union = combine(*sides)
     colors = {}
     for node in union.nodes():
-        side, i = node
+        side, i = union.side(node), union.original(node)
         # Colors below half // 3 are shared; the rest are one-sided.
         colors[node] = i % (half // 3) if i % 2 else half + side * half + i
     return union, Partition(colors)
@@ -349,6 +349,9 @@ class TestOnePassRegressions:
     def test_off_graph_node_is_refused(self, simple_union):
         part = trivial_partition(simple_union, ColorInterner())
         colors = part.as_dict()
-        colors[(SOURCE, uri("ghost"))] = next(iter(colors.values()))
+        ghost = simple_union.num_nodes  # one past the last union id
+        with pytest.raises(AlignmentError):
+            simple_union.side(ghost)
+        colors[ghost] = next(iter(colors.values()))
         with pytest.raises(AlignmentError, match="partition colors"):
             PartitionAlignment(simple_union, Partition(colors))

@@ -128,6 +128,35 @@ def test_delta_command_output_independent_of_hash_seed(tmp_path):
     assert "removed triples:" in outputs[0] and "added triples:" in outputs[0]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["align", "--method", "overlap", "--pairs"], ["delta"]],
+    ids=["align-pairs", "delta"],
+)
+def test_cli_output_independent_of_line_order(tmp_path, capsys, command):
+    """Union ids follow file order, so no id order may reach the output:
+    shuffling both files' lines leaves ``align --pairs`` and ``delta``
+    byte-identical."""
+    from repro.cli import main
+
+    generator = EFOGenerator(scale=0.3)
+    rng = random.Random(7)
+    runs = {}
+    for shuffled in (False, True):
+        paths = []
+        for version in (0, 1):
+            lines = ntriples.dumps(generator.graph(version)).splitlines(keepends=True)
+            if shuffled:
+                rng.shuffle(lines)
+            path = tmp_path / f"v{version + 1}-{shuffled}.nt"
+            path.write_text("".join(lines), encoding="utf-8")
+            paths.append(str(path))
+        assert main([command[0], *paths, *command[1:]]) == 0
+        runs[shuffled] = capsys.readouterr().out
+    assert runs[False] == runs[True]
+    assert runs[False].count("\n") > 20
+
+
 class TestRenderDelta:
     def test_render_contains_sections(self, change_pair):
         partition = hybrid_partition(change_pair, ColorInterner())

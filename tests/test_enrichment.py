@@ -87,19 +87,19 @@ class TestBipartiteGraph:
 
     def test_components_split_disconnected_pairs(self):
         h = bipartite({("a1", "b1"): 0.2, ("a2", "b2"): 0.4})
-        components = h.components()
+        components = h.components(repr)
         assert len(components) == 2
         assert frozenset({"a1", "b1"}) in components
 
     def test_components_merge_shared_nodes(self):
         h = bipartite({("a1", "b1"): 0.2, ("a2", "b1"): 0.4, ("a3", "b3"): 0.1})
-        components = h.components()
+        components = h.components(repr)
         assert len(components) == 2
         assert frozenset({"a1", "a2", "b1"}) in components
 
     def test_components_deterministic_order(self):
         h = bipartite({("a2", "b2"): 0.1, ("a1", "b1"): 0.1})
-        assert h.components() == h.components()
+        assert h.components(repr) == h.components(repr)
 
 
 class TestShortestDistances:
@@ -132,7 +132,7 @@ class TestComponentWeights:
 
     def test_triangle_inequality_guarantee(self):
         h = bipartite({("a1", "b1"): 0.2, ("a2", "b1"): 0.6, ("a2", "b2"): 0.1})
-        (component,) = h.components()
+        (component,) = h.components(repr)
         weights = component_weights(h, component)
         for (source, target), __ in h.edges.items():
             d_star = shortest_distances(h, source)[target]
@@ -141,7 +141,7 @@ class TestComponentWeights:
     @settings(max_examples=300, deadline=None)
     @given(close_pair_graphs())
     def test_equals_brute_force_bit_for_bit(self, h):
-        for component in h.components():
+        for component in h.components(repr):
             assert component_weights(h, component) == brute_force_weights(h, component)
 
 
@@ -162,7 +162,7 @@ class TestEnrich:
         a = union.from_source(lit("old value"))
         b = union.from_target(lit("new value"))
         h = bipartite({(a, b): 0.4})
-        enriched = enrich(weighted, h, interner, generation=1)
+        enriched = enrich(weighted, h, interner, generation=1, key=repr)
         assert enriched.color(a) == enriched.color(b)
         assert enriched.weight(a) == pytest.approx(0.2)
         assert enriched.distance(a, b) == pytest.approx(0.4)
@@ -172,20 +172,20 @@ class TestEnrich:
         a = union.from_source(lit("old value"))
         b = union.from_target(lit("new value"))
         s = union.from_source(uri("s"))
-        enriched = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=1)
+        enriched = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=1, key=repr)
         assert enriched.color(s) == weighted.color(s)
         assert enriched.weight(s) == 0.0
 
     def test_enrich_empty_graph_is_identity(self):
         union, interner, weighted = self._setup()
-        assert enrich(weighted, bipartite({}), interner, generation=1) is weighted
+        assert enrich(weighted, bipartite({}), interner, generation=1, key=repr) is weighted
 
     def test_generations_keep_colors_distinct(self):
         union, interner, weighted = self._setup()
         a = union.from_source(lit("old value"))
         b = union.from_target(lit("new value"))
-        first = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=1)
-        second = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=2)
+        first = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=1, key=repr)
+        second = enrich(weighted, bipartite({(a, b): 0.4}), interner, generation=2, key=repr)
         assert first.color(a) != second.color(a)
 
     def test_enrich_builds_the_adjacency_once(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestEnrich:
         weighted = zero_weighted(
             Partition({node: interner.node_color(node) for node in sorted(nodes)})
         )
-        enriched = enrich(weighted, h, interner, generation=1)
+        enriched = enrich(weighted, h, interner, generation=1, key=repr)
         assert len(calls) == 1
         assert enriched.weight("a1000") == pytest.approx(0.1)
         assert enriched.color("a0") == enriched.color("b49")

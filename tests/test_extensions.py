@@ -21,7 +21,7 @@ from repro.core.keyed import keyed_hybrid_partition, keyed_refine_fixpoint, pred
 from repro.core.bisimulation import bisimulation_partition
 from repro.datasets import GtoPdbGenerator
 from repro.evaluation.precision import classify_node
-from repro.model import RDFGraph, blank, combine, lit, uri
+from repro.model import SOURCE, RDFGraph, blank, combine, lit, uri
 from repro.partition.alignment import align
 from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
@@ -189,13 +189,19 @@ class TestPredicateAlignment:
             counts = {"exact": 0, "inclusive": 0, "missing": 0, "false": 0}
             for node in predominantly_predicates(union):
                 term = union.original(node)
-                if union.side(node) == 1:
+                if union.side(node) == SOURCE:
                     partner_term = truth.partner_of_source(term)
-                    partner = (2, partner_term) if partner_term else None
+                    version, lift = union.target, union.from_target
                 else:
                     partner_term = truth.partner_of_target(term)
-                    partner = (1, partner_term) if partner_term else None
-                counts[classify_node(alignment, node, partner)] += 1
+                    version, lift = union.source, union.from_source
+                if partner_term is None:
+                    category = classify_node(alignment, node, None)
+                elif partner_term in version:
+                    category = classify_node(alignment, node, lift(partner_term))
+                else:
+                    category = "missing"  # an absent partner is nobody's partner
+                counts[category] += 1
             return counts
 
         before = score(hybrid)

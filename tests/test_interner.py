@@ -59,3 +59,17 @@ def test_interner_is_injective_on_distinct_keys(keys):
         assert interner.intern(key) == color
         assert interner.key(color) == key
     assert len(set(colors.values())) == len(set(keys))
+
+
+@given(
+    st.lists(st.binary(max_size=3), max_size=30),
+    st.lists(st.binary(max_size=3), max_size=30),
+)
+def test_intern_many_equals_repeated_intern(seed_keys, keys):
+    bulk, single = ColorInterner(), ColorInterner()
+    for key in seed_keys:
+        bulk.intern(key)
+        single.intern(key)
+    assert bulk.intern_many(iter(keys)) == [single.intern(key) for key in keys]
+    assert list(bulk) == list(single)
+    assert all(bulk.intern(key) == single.intern(key) for key in seed_keys + keys)

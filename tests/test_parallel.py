@@ -192,6 +192,24 @@ class TestRunStoreCells:
         assert pooled == serial
         assert list_segments() == []
 
+    @needs_fork
+    def test_workers_build_tokens_the_parent_did_not(self, pairs):
+        """Only the deblank tokens are published; every worker builds its
+        trivial tokens itself.  Labels are their own tokens, so tokens from
+        different processes compare equal and pooled rows match serial."""
+
+        def deblank_only() -> VersionStore:
+            store = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
+            store.prepare(summaries=True, tokens=("deblank",))
+            return store
+
+        serial = run_store_cells(deblank_only(), edge_ratio_cell, pairs, jobs=1)
+        pooled = run_store_cells(
+            deblank_only(), edge_ratio_cell, pairs, jobs=2, force=True
+        )
+        assert pooled == serial
+        assert list_segments() == []
+
     @needs_spawn
     def test_spawn_pool_matches_serial(self, store, pairs):
         """The no-fork (Windows-style) fallback: attach under spawn."""

@@ -28,9 +28,14 @@ from repro.experiments.persist import (
     iter_report_keys,
     resolve_backend,
 )
-from repro.experiments.cells import edge_ratio_cell, method_counts_cell
+from repro.experiments.cells import (
+    edge_ratio_cell,
+    kbisim_counts_cell,
+    method_counts_cell,
+)
 from repro.experiments.parallel import run_store_cells
 from repro.experiments.store import VersionStore
+from repro.model.csr import CSRGraph
 from repro.model.labels import Literal, URI
 from repro.model.rdf import BlankNode
 
@@ -156,6 +161,38 @@ class TestStoreRoundTrip:
             assert loaded.edge_tokens(version, "deblank") == store.edge_tokens(
                 version, "deblank"
             )
+
+    def test_loaded_store_dense_cells_match_fresh(self, store, backend):
+        # Graphs come back reparsed from sorted N-Triples while each block
+        # keeps the generator's node order.  Union ids are block dense ids,
+        # so the load must put every graph into its block's order, or each
+        # dense cell would read another node's adjacency.
+        store.save(backend)
+        loaded = VersionStore.load(backend)
+        assert loaded.quarantined == []
+        for version in range(loaded.versions):
+            assert loaded.csr_block(version).nodes == list(
+                loaded.graph(version).nodes()
+            )
+        last = store.versions - 1
+        pairs = [(0, 1), (0, last), (1, 1), (last, last)]
+        config = AlignConfig(engine="dense")
+        fresh = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
+        for cell in (method_counts_cell, kbisim_counts_cell):
+            assert run_store_cells(
+                loaded, cell, pairs, config=config, jobs=1
+            ) == run_store_cells(fresh, cell, pairs, config=config, jobs=1)
+
+    def test_union_csr_refuses_a_block_in_another_node_order(self, store):
+        block = store.csr_block(0)
+        store._csr_blocks[0] = CSRGraph.from_parts(
+            block.nodes[::-1],
+            block.out_offsets,
+            block.out_predicates,
+            block.out_objects,
+        )
+        with pytest.raises(ExperimentError, match="graph's order"):
+            store.union_csr(0, 1)
 
     def test_memory_and_disk_agree_byte_for_byte(self, store, tmp_path):
         memory = MemoryBackend()
@@ -398,6 +435,64 @@ class TestCorruptionDetection:
 
         fresh = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
         assert outputs(loaded) == outputs(fresh)
+
+    def test_archive_with_old_shape_edge_tokens_rebuilds(self, store, tmp_path):
+        # Edge tokens used to wrap every label as ``("n", label)``; such a
+        # set never meets a freshly built one, so an archive holding them
+        # must not feed the store.  Dropping the last version's sets makes
+        # the store build those fresh, which is where mixing would show.
+        root = self._saved(store, tmp_path)
+        backend = DiskBackend(root)
+        last = store.versions - 1
+
+        def old_token(token):
+            return token if type(token) is tuple else ("n", token)
+
+        fresh_tokens = pickle.loads(backend.get_blob("artifacts/edge_tokens"))
+        old_tokens = {
+            key: frozenset(tuple(old_token(tok) for tok in triple) for triple in triples)
+            for key, triples in fresh_tokens.items()
+            if key[0] != last
+        }
+        backend.put_blob(
+            "artifacts/edge_tokens",
+            pickle.dumps(old_tokens, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        backend.flush()
+
+        loaded = VersionStore.load(DiskBackend.open(root))
+        assert [entry["key"] for entry in loaded.quarantined] == ["artifacts/edge_tokens"]
+        assert "('n', label)" in loaded.quarantined[0]["reason"]
+        pairs = [(0, 1), (0, last), (1, 1), (last, last)]
+        fresh = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
+        for cell in (edge_ratio_cell, method_counts_cell):
+            assert run_store_cells(loaded, cell, pairs, jobs=1) == run_store_cells(
+                fresh, cell, pairs, jobs=1
+            )
+        assert loaded._edge_tokens == fresh._edge_tokens
+
+    def test_block_listing_other_nodes_rebuilds(self, store, tmp_path):
+        # A block whose node list is not the graph's node set cannot be
+        # put in the graph's order: it is quarantined and rebuilt, and
+        # dense cells still match a fresh store.
+        root = self._saved(store, tmp_path)
+        backend = DiskBackend(root)
+        nodes = pickle.loads(backend.get_blob("csr/0/nodes"))
+        nodes[0] = URI("http://example.org/not-in-the-graph")
+        backend.put_blob(
+            "csr/0/nodes", pickle.dumps(nodes, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        backend.flush()
+
+        loaded = VersionStore.load(DiskBackend.open(root))
+        assert [entry["key"] for entry in loaded.quarantined] == ["csr/0"]
+        assert "lacks" in loaded.quarantined[0]["reason"]
+        pairs = [(0, 1), (0, 0)]
+        config = AlignConfig(engine="dense")
+        fresh = VersionStore(SyntheticGenerator.shared(SCENARIOS["small_er"]))
+        assert run_store_cells(
+            loaded, method_counts_cell, pairs, config=config, jobs=1
+        ) == run_store_cells(fresh, method_counts_cell, pairs, config=config, jobs=1)
 
     def test_corrupt_graph_blob_is_fatal(self, store, tmp_path):
         # Graphs are the archive's source of truth: nothing to rebuild

@@ -19,6 +19,51 @@ from repro.similarity.string_distance import (
 short_text = st.text(alphabet="abcde ", max_size=14)
 
 
+def reference_levenshtein(first: str, second: str) -> int:
+    """The classic two-row dynamic program, the bit-vector form's oracle."""
+    previous = list(range(len(second) + 1))
+    for row, char_first in enumerate(first, start=1):
+        current = [row]
+        for col, char_second in enumerate(second, start=1):
+            current.append(
+                min(
+                    previous[col - 1] + (char_first != char_second),
+                    previous[col] + 1,
+                    current[col - 1] + 1,
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+#: Small alphabets (so strings share characters) including non-ASCII
+#: ones, and lengths past one 64-bit word.
+_ALPHABETS = st.sampled_from(["ab", "abc d", "aéü\U0001F600 ", "xyzXYZ\u00df\u03a3"])
+
+
+@st.composite
+def string_pairs(draw):
+    alphabet = draw(_ALPHABETS)
+    text = st.text(alphabet=alphabet, max_size=150)
+    first = draw(text)
+    kind = draw(st.sampled_from(["independent", "equal", "edited", "empty"]))
+    if kind == "equal":
+        return first, first
+    if kind == "empty":
+        return first, ""
+    if kind == "edited":
+        chars = list(first)
+        for _ in range(draw(st.integers(0, 8))):
+            position = draw(st.integers(0, len(chars)))
+            char = draw(st.sampled_from(alphabet))
+            if position < len(chars) and draw(st.booleans()):
+                chars[position] = char
+            else:
+                chars.insert(position, char)
+        return first, "".join(chars)
+    return first, draw(text)
+
+
 class TestLevenshtein:
     @pytest.mark.parametrize(
         "first,second,expected",
@@ -35,6 +80,22 @@ class TestLevenshtein:
     )
     def test_known_distances(self, first, second, expected):
         assert levenshtein(first, second) == expected
+
+    @given(pair=string_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_dynamic_program(self, pair):
+        first, second = pair
+        assert levenshtein(first, second) == reference_levenshtein(first, second)
+        assert levenshtein(second, first) == reference_levenshtein(second, first)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 128, 200])
+    def test_word_boundaries(self, length):
+        first = "ab" * length
+        assert levenshtein(first[:length], first[1 : length + 1]) == reference_levenshtein(
+            first[:length], first[1 : length + 1]
+        )
+        assert levenshtein("a" * length, "b" + "a" * (length - 1)) == 1
+        assert levenshtein("a" * length, "") == length
 
     @given(first=short_text, second=short_text)
     def test_symmetry(self, first, second):

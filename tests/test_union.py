@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import AlignmentError, GraphError
 from repro.model import RDFGraph, blank, combine, combine_many, lit, uri
+from repro.model.csr import CSRGraph
 from repro.model.graph import TripleGraph
 from repro.model.union import SOURCE, TARGET
+from repro.partition.coloring import label_partition
+from repro.partition.interner import ColorInterner
 
 
 @pytest.fixture
@@ -71,6 +76,53 @@ class TestErrors:
             union.side_nodes(3)
 
 
+class TestIntIds:
+    """Union ids are the CSR dense ids: source block, then target block."""
+
+    def test_ids_are_dense_and_blocked(self, versions):
+        g1, g2 = versions
+        union = combine(g1, g2)
+        assert list(union.nodes()) == list(range(6))
+        assert union.num_source_nodes == 3
+        assert [union.original(node) for node in range(3)] == list(g1.nodes())
+        assert [union.original(node) for node in range(3, 6)] == list(g2.nodes())
+        assert [union.side(node) for node in union.nodes()] == [SOURCE] * 3 + [TARGET] * 3
+        csr = CSRGraph.from_blocks(CSRGraph(g1), CSRGraph(g2))
+        assert list(csr.nodes) == list(union.nodes())
+
+    @pytest.mark.parametrize("accessor", ["side", "original", "from_source", "from_target"])
+    def test_non_nodes_are_refused(self, versions, accessor):
+        union = combine(*versions)
+        for bad in (True, -1, union.num_nodes, "x", (SOURCE, uri("a"))):
+            with pytest.raises(AlignmentError):
+                getattr(union, accessor)(bad)
+
+    def test_bool_never_finds_an_int_node(self):
+        versions = []
+        for _ in range(2):
+            graph = TripleGraph()
+            graph.add_node(0, uri("zero"))
+            graph.add_node(1, uri("one"))
+            versions.append(graph)
+        union = combine(*versions)
+        assert union.from_source(1) == 1 and union.from_target(1) == 3
+        for lift in (union.from_source, union.from_target):
+            with pytest.raises(AlignmentError):
+                lift(True)
+
+    def test_union_tuples_and_label_partition_leave_the_gc(self):
+        source = _graph([(uri(f"s{i}"), uri("p"), lit(f"v{i}")) for i in range(300)])
+        target = _graph([(blank(f"b{i}"), uri("p"), uri(f"s{i}")) for i in range(300)])
+        union = combine(source, target)
+        partition = label_partition(union, ColorInterner())
+        gc.collect()
+        assert not any(gc.is_tracked(edge) for edge in union.edges())
+        assert not any(
+            gc.is_tracked(pair) for pairs in union.out_index().values() for pair in pairs
+        )
+        assert not gc.is_tracked(partition._colors)
+
+
 class TestCombineMany:
     def test_consecutive_pairs(self):
         graphs = []
@@ -95,15 +147,20 @@ class TestCombineMany:
 # ----------------------------------------------------------------------
 # The lift-once construction against a per-element oracle
 # ----------------------------------------------------------------------
-def _per_element_union(source: RDFGraph, target: RDFGraph) -> TripleGraph:
-    """The union built one ``add_node``/``add_edge`` call at a time."""
+def _per_element_union(source: RDFGraph, target: RDFGraph, lifts) -> TripleGraph:
+    """The union built one ``add_node``/``add_edge`` call at a time.
+
+    *lifts* maps each side to the union's ``from_source``/``from_target``.
+    """
     union = TripleGraph()
     for side, version in ((SOURCE, source), (TARGET, target)):
+        lift = lifts[side]
         for node in version.nodes():
-            union.add_node((side, node), version.label(node))
+            union.add_node(lift(node), version.label(node))
     for side, version in ((SOURCE, source), (TARGET, target)):
+        lift = lifts[side]
         for subject, predicate, obj in version.edges():
-            union.add_edge((side, subject), (side, predicate), (side, obj))
+            union.add_edge(lift(subject), lift(predicate), lift(obj))
     return union
 
 
@@ -124,20 +181,22 @@ class TestLiftOnce:
     @given(source=_VERSIONS, target=_VERSIONS)
     def test_equals_the_per_element_union(self, source, target):
         union = combine(source, target)
-        oracle = _per_element_union(source, target)
+        lifts = {SOURCE: union.from_source, TARGET: union.from_target}
+        oracle = _per_element_union(source, target, lifts)
         assert list(union.labels().items()) == list(oracle.labels().items())
         assert set(union.edges()) == set(oracle.edges())
         assert list(union.out_index().items()) == list(oracle.out_index().items())
-        assert union.source_nodes == {(SOURCE, node) for node in source.nodes()}
-        assert union.target_nodes == {(TARGET, node) for node in target.nodes()}
+        assert union.source_nodes == {union.from_source(node) for node in source.nodes()}
+        assert union.target_nodes == {union.from_target(node) for node in target.nodes()}
         for side, version in ((SOURCE, source), (TARGET, target)):
             for node in version.nodes():
-                assert union.side((side, node)) == side
-                assert union.original((side, node)) == node
+                assert union.side(lifts[side](node)) == side
+                assert union.original(lifts[side](node)) == node
 
     @settings(max_examples=40, deadline=None)
     @given(source=_VERSIONS, target=_VERSIONS)
     def test_each_node_is_one_shared_tuple(self, source, target):
+        """Every reference to a node is the one int object minted for it."""
         union = combine(source, target)
         lifted = {node: node for node in union.nodes()}
         for edge in union.edges():
