@@ -10,8 +10,9 @@ The public surface of this package::
 
 * :class:`AlignConfig` — a frozen, validated configuration with
   :meth:`~AlignConfig.evolve` for derived variants;
-* :class:`Aligner` — a reusable session holding a config plus per-source
-  cached state (CSR blocks, memoized literal splits, parsed files);
+* :class:`Aligner` — a reusable session holding a config plus cached
+  state (memoized literal splits, parsed files; each graph caches its
+  own CSR block);
 * :class:`MethodSpec` / :func:`register_method` — the pluggable method
   registry every method list in the system derives from;
 * :class:`AlignmentReport` — the stable, versioned, serializable result

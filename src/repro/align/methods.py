@@ -24,7 +24,6 @@ from ..core.dense import resolve_refine_engine
 from ..core.hybrid import hybrid_partition
 from ..core.ksignature import SignatureStats, ksignature_partition
 from ..core.trivial import trivial_partition
-from ..model.csr import CSRGraph
 from ..model.graph import NodeId
 from ..model.union import CombinedGraph
 from ..partition.alignment import PartitionAlignment
@@ -43,13 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MethodContext:
     """Session-provided artifacts a runner may reuse.
 
-    ``csr`` is a prebuilt snapshot of the combined graph (dense engine
-    only); ``splitter`` a possibly-memoized literal characterizer that
-    overrides the config's raw one.  Both are optional: a bare
-    ``MethodContext()`` makes every runner self-sufficient.
+    ``splitter`` is a possibly-memoized literal characterizer that
+    overrides the config's raw one.  It is optional: a bare
+    ``MethodContext()`` makes every runner self-sufficient.  The dense
+    engine's snapshot is not passed here; runners read ``graph.csr()``.
     """
 
-    csr: CSRGraph | None = None
     splitter: Callable[[str], frozenset] | None = None
 
 
@@ -100,10 +98,7 @@ def _deblank_runner(
     graph: CombinedGraph, config: "AlignConfig", context: MethodContext
 ) -> AlignmentResult:
     interner = ColorInterner()
-    partition = deblank_partition(
-        graph, interner, engine=config.engine,
-        **({"csr": context.csr} if context.csr is not None else {}),
-    )
+    partition = deblank_partition(graph, interner, engine=config.engine)
     return _partition_result("deblank", graph, partition, interner, config)
 
 
@@ -111,9 +106,7 @@ def _hybrid_runner(
     graph: CombinedGraph, config: "AlignConfig", context: MethodContext
 ) -> AlignmentResult:
     interner = ColorInterner()
-    partition = hybrid_partition(
-        graph, interner, engine=config.engine, csr=context.csr
-    )
+    partition = hybrid_partition(graph, interner, engine=config.engine)
     return _partition_result("hybrid", graph, partition, interner, config)
 
 
@@ -126,14 +119,11 @@ def _overlap_runner(
         graph,
         theta=config.theta,
         interner=interner,
-        base=hybrid_partition(
-            graph, interner, engine=config.engine, csr=context.csr
-        ),
+        base=hybrid_partition(graph, interner, engine=config.engine),
         probe=config.probe,  # type: ignore[arg-type]
         splitter=context.splitter or config.splitter,
         trace=trace,
         engine=config.engine,
-        csr=context.csr,
     )
     return _partition_result(
         "overlap", graph, weighted.partition, interner, config,
@@ -151,10 +141,7 @@ def _bisim_runner(
 ) -> AlignmentResult:
     interner = ColorInterner()
     refine = resolve_refine_engine(config.engine)
-    partition = refine(
-        graph, label_partition(graph, interner), None, interner,
-        **({"csr": context.csr} if context.csr is not None else {}),
-    )
+    partition = refine(graph, label_partition(graph, interner), None, interner)
     return _partition_result("bisim", graph, partition, interner, config)
 
 
@@ -184,7 +171,6 @@ def _signature_family(
             k=config.k,
             engine=config.engine,
             subset=subset,
-            csr=context.csr,
             stats=stats,
             jobs=config.jobs,
         )
@@ -195,7 +181,6 @@ def _signature_family(
             k=config.k,
             engine=config.engine,
             subset=subset,
-            csr=context.csr,
             stats=stats,
         )
     details = {
@@ -257,7 +242,6 @@ register_method(MethodSpec(
     runner=_trivial_runner,
     finer_than=None,
     description="label equality only (Section 3.4)",
-    uses_csr=False,
 ))
 register_method(MethodSpec(
     name="deblank",
@@ -304,12 +288,10 @@ register_method(MethodSpec(
     runner=_similarity_flooding_runner,
     description="mutual-best-match similarity flooding (Melnik et al., ICDE 2002)",
     baseline=True,
-    uses_csr=False,
 ))
 register_method(MethodSpec(
     name="label_invention",
     runner=_label_invention_runner,
     description="blank-node label invention (Tzitzikas et al., ISWC 2012)",
     baseline=True,
-    uses_csr=False,
 ))

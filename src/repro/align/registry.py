@@ -26,7 +26,7 @@ The runner contract: ``runner(graph, config, context)`` where *graph* is
 the pair's :class:`~repro.model.union.CombinedGraph`, *config* the active
 :class:`~repro.align.config.AlignConfig` and *context* a
 :class:`~repro.align.methods.MethodContext` carrying session-cached
-artifacts (CSR snapshot, memoized literal splitter).  It returns an object
+artifacts (a memoized literal splitter).  It returns an object
 with the result surface described in :mod:`repro.align.results` (at
 minimum ``method``, ``graph``, ``engine`` and an ``alignment`` with
 ``pairs()``/``unaligned_source()``/``unaligned_target()``/
@@ -49,13 +49,11 @@ class MethodSpec:
     coarsest): the paper's containment hierarchy, used to derive the
     coarse-to-fine ``METHOD_ORDER``.  ``baseline`` marks related-work
     methods that sit outside the hierarchy (they are offered by the CLI
-    but never enter the order).  ``uses_csr`` tells the session whether
-    the dense engine should hand the runner a CSR snapshot (the trivial
-    method and the baselines never touch one).  ``label_floor`` says the
-    method's partition can never split label-equal URI nodes — true for
-    the paper's four operators, false for the all-node bisimulation
-    family, whose refinement distinguishes URIs by structure; the
-    differential oracle keys its ground-truth floor check on this flag.
+    but never enter the order).  ``label_floor`` says the method's
+    partition can never split label-equal URI nodes — true for the
+    paper's four operators, false for the all-node bisimulation family,
+    whose refinement distinguishes URIs by structure; the differential
+    oracle keys its ground-truth floor check on this flag.
     ``uses_k`` marks methods parameterized by the round bound
     ``AlignConfig.k`` (reports then record ``k`` among their parameters).
     """
@@ -65,7 +63,6 @@ class MethodSpec:
     finer_than: str | None = None
     description: str = ""
     baseline: bool = False
-    uses_csr: bool = True
     label_floor: bool = True
     uses_k: bool = False
 

@@ -1,19 +1,22 @@
 """The :class:`Aligner` session: one config, cached per-source state.
 
 An :class:`Aligner` holds an immutable :class:`~repro.align.config.
-AlignConfig` plus per-graph caches that make *repeated* alignments cheap,
-the way :class:`repro.experiments.store.VersionStore` does internally for
-the figure grids:
+AlignConfig` plus caches that make *repeated* alignments cheap:
 
-* a per-version CSR block cache — with ``engine="dense"`` each graph is
-  snapshotted once and every pair's union snapshot is assembled by
-  :meth:`~repro.model.csr.CSRGraph.from_blocks`;
 * a per-splitter literal characterization cache — version chains share
   most literal values, so across a session every distinct string is
   split exactly once (subsuming the old ``align_many`` special case);
 * a per-path parse cache — :meth:`Aligner.align` accepts file paths
   (N-Triples or Turtle, via :func:`repro.io.load_graph`) and loads each
   path once.
+
+The session keeps no CSR snapshots of its own.  With ``engine="dense"``
+each graph builds its snapshot once and caches it
+(:meth:`~repro.model.graph.TripleGraph.csr`), and every pair's union
+assembles its snapshot from its two sides' blocks
+(:meth:`~repro.model.union.CombinedGraph.csr`).  So every session over
+a graph, and every :class:`~repro.experiments.store.VersionStore`, reads
+the same block, and a graph that grows drops its block.
 
 Usage::
 
@@ -35,11 +38,10 @@ import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..model.csr import CSRGraph
 from ..model.graph import TripleGraph
 from ..model.union import CombinedGraph
 from .config import AlignConfig
-from .methods import MethodContext, run_method
+from .methods import MethodContext
 from .registry import get_method
 from .report import AlignmentReport
 
@@ -60,16 +62,15 @@ class Aligner:
         aligner = Aligner(method="hybrid", engine="dense")
 
     Derived sessions share caches: :meth:`evolve` returns a new
-    :class:`Aligner` with a changed config whose block/literal caches are
-    the same objects, so ``aligner.evolve(theta=0.8)`` reuses every
-    snapshot already built.
+    :class:`Aligner` with a changed config whose literal and path caches
+    are the same objects, so ``aligner.evolve(theta=0.8)`` splits no
+    literal twice.
     """
 
-    #: Graph snapshots / parsed files kept per session.  LRU-bounded like
+    #: Parsed files kept per session.  LRU-bounded like
     #: :class:`~repro.experiments.store.VersionStore`'s caches: a session
-    #: aligning an open-ended stream of distinct graphs must not pin
+    #: aligning an open-ended stream of distinct files must not pin
     #: every input it has ever seen.
-    BLOCK_CACHE_SIZE = 16
     PATH_CACHE_SIZE = 16
 
     #: Distinct literal values characterized per splitter before the
@@ -83,9 +84,6 @@ class Aligner:
         if overrides:
             config = config.evolve(**overrides)
         self.config = config
-        #: id(graph) -> (graph, CSR block); the graph reference pins the
-        #: id while the entry lives (eviction drops both together).
-        self._blocks: OrderedDict[int, tuple[TripleGraph, CSRGraph]] = OrderedDict()
         #: splitter callable -> {literal value -> characterization}.
         self._split_caches: dict[Callable, dict[str, frozenset]] = {}
         #: resolved path -> parsed graph.
@@ -99,10 +97,9 @@ class Aligner:
 
         The new session shares this one's caches (they are config-
         independent), so sweeping a parameter over one version chain
-        builds each snapshot once.
+        splits each literal and parses each file once.
         """
         sibling = Aligner(self.config.evolve(**changes))
-        sibling._blocks = self._blocks
         sibling._split_caches = self._split_caches
         sibling._loaded = self._loaded
         return sibling
@@ -135,7 +132,7 @@ class Aligner:
         """Align arbitrary ``(source, target)`` pairs in one session.
 
         Every graph that recurs across the pair list — a shared ancestor
-        version, a chain walked twice — reuses its cached snapshot.
+        version, a chain walked twice — reuses its own cached snapshot.
         """
         return [
             self._run(self._resolve(source), self._resolve(target))
@@ -250,18 +247,13 @@ class Aligner:
             # third-party method without a composed path: run batch.
             return self._run(source, target)
         graph = CombinedGraph(source, target)
-        csr = None
-        if config.engine == "dense" and spec.uses_csr:
-            csr = CSRGraph.from_blocks(self._block(source), self._block(target))
         interner = ColorInterner()
         deblank = compose_deblank_partition(
             graph, source_summary, target_summary, joint, interner
         )
         if config.method == "deblank":
             return _partition_result("deblank", graph, deblank, interner, config)
-        hybrid = hybrid_partition(
-            graph, interner, base=deblank, engine=config.engine, csr=csr
-        )
+        hybrid = hybrid_partition(graph, interner, base=deblank, engine=config.engine)
         if config.method == "hybrid":
             return _partition_result("hybrid", graph, hybrid, interner, config)
         trace = OverlapTrace()
@@ -274,7 +266,6 @@ class Aligner:
             splitter=self._memoized_splitter(),
             trace=trace,
             engine=config.engine,
-            csr=csr,
         )
         return _partition_result(
             "overlap", graph, weighted.partition, interner, config,
@@ -289,8 +280,7 @@ class Aligner:
     # Cached state
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop every cached snapshot, characterization and parsed file."""
-        self._blocks.clear()
+        """Drop every cached characterization and parsed file."""
         self._split_caches.clear()
         self._loaded.clear()
 
@@ -320,19 +310,6 @@ class Aligner:
             f"expected a TripleGraph or a path, got {type(graph).__name__}"
         )
 
-    def _block(self, graph: TripleGraph) -> CSRGraph:
-        # While an entry lives, its graph reference pins id(graph); an
-        # evicted entry releases the graph and the id may be reused — by
-        # then the stale entry is gone, so the key stays unambiguous.
-        entry = self._blocks.get(id(graph))
-        if entry is None:
-            entry = self._blocks[id(graph)] = (graph, CSRGraph(graph))
-            while len(self._blocks) > self.BLOCK_CACHE_SIZE:
-                self._blocks.popitem(last=False)
-        else:
-            self._blocks.move_to_end(id(graph))
-        return entry[1]
-
     def _memoized_splitter(self) -> Callable[[str], frozenset]:
         splitter = self.config.splitter
         cache = self._split_caches.setdefault(splitter, {})
@@ -352,12 +329,8 @@ class Aligner:
         self, source: TripleGraph, target: TripleGraph
     ) -> "AlignmentResult | BaselineResult":
         spec = get_method(self.config.method)
-        graph = CombinedGraph(source, target)
-        csr = None
-        if self.config.engine == "dense" and spec.uses_csr:
-            csr = CSRGraph.from_blocks(self._block(source), self._block(target))
-        context = MethodContext(csr=csr, splitter=self._memoized_splitter())
-        return spec.runner(graph, self.config, context)
+        context = MethodContext(splitter=self._memoized_splitter())
+        return spec.runner(CombinedGraph(source, target), self.config, context)
 
     def __repr__(self) -> str:
         return f"Aligner({self.config!r})"

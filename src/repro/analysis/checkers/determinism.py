@@ -19,7 +19,7 @@ plans.  Three syntactic habits silently break it:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..framework import Checker, Finding, ModuleInfo, register_checker
 from ._util import call_name, parent_of, walk_with_parents

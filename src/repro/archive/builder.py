@@ -28,7 +28,6 @@ from ..core.hybrid import hybrid_partition
 from ..exceptions import ExperimentError
 from ..model.graph import NodeId, TripleGraph
 from ..model.labels import Label
-from ..model.rdf import RDFGraph
 from ..model.union import combine
 from ..partition.alignment import PartitionAlignment
 from ..partition.interner import ColorInterner

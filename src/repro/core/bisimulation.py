@@ -17,7 +17,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition, label_partition

@@ -11,8 +11,6 @@ the trivial alignment.
 
 from __future__ import annotations
 
-from ..exceptions import ExperimentError
-from ..model.csr import CSRGraph
 from ..model.graph import TripleGraph
 from ..partition.coloring import Partition, label_partition
 from ..partition.interner import ColorInterner
@@ -23,25 +21,15 @@ def deblank_partition(
     graph: TripleGraph,
     interner: ColorInterner | None = None,
     engine: str = "reference",
-    csr: "CSRGraph | None" = None,
 ) -> Partition:
     """``λ_Deblank``: bisimulation refinement restricted to blank nodes.
 
     *engine* selects the refinement implementation — ``"reference"`` (the
     dict-based oracle) or ``"dense"`` (flat arrays, see
-    :mod:`repro.core.dense`); both produce equivalent partitions.  *csr*
-    may hand the dense engine a prebuilt snapshot of *graph* (the hybrid
-    alignment shares one across its two refinement phases).
+    :mod:`repro.core.dense`); both produce equivalent partitions.
     """
     if interner is None:
         interner = ColorInterner()
     refine = resolve_refine_engine(engine)
-    kwargs = {}
-    if csr is not None:
-        if engine != "dense":
-            raise ExperimentError(
-                "a CSR snapshot only applies to the dense engine"
-            )
-        kwargs["csr"] = csr
     initial = label_partition(graph, interner)
-    return refine(graph, initial, graph.blanks(), interner, **kwargs)
+    return refine(graph, initial, graph.blanks(), interner)

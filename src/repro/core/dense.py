@@ -75,7 +75,6 @@ def dense_refine_fixpoint(
     interner: ColorInterner | None = None,
     max_rounds: int | None = None,
     stats: FixpointStats | None = None,
-    csr: CSRGraph | None = None,
 ) -> Partition:
     """``BisimRefine*_X(λ)`` over flat arrays — drop-in for
     :func:`~repro.core.refinement.bisim_refine_fixpoint`.
@@ -84,8 +83,8 @@ def dense_refine_fixpoint(
     the fixpoint is detected through the monotone class count, and when
     *max_rounds* truncates the iteration a warning is logged and
     ``stats.converged`` (pass a :class:`FixpointStats`) is ``False``.
-    *csr* may supply a prebuilt snapshot of *graph* to amortize the
-    compaction across multiple refinements of the same graph.
+    The arrays are *graph*'s cached :meth:`~repro.model.graph.TripleGraph.csr`
+    snapshot, so refinements of one graph share one compaction.
     """
     if interner is None:
         partition, interner = reseed_partition(partition)
@@ -94,8 +93,7 @@ def dense_refine_fixpoint(
     if stats is None:
         stats = FixpointStats()
     stats.engine = "dense"
-    if csr is None:
-        csr = CSRGraph(graph)
+    csr = graph.csr()
 
     coloring = partition.as_dict()
     colors = csr.gather_colors(coloring)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..exceptions import ExperimentError
-from ..model.csr import CSRGraph
 from ..model.graph import NodeId
 from ..model.union import CombinedGraph
 from ..partition.alignment import unaligned_non_literals
@@ -44,7 +42,6 @@ def hybrid_partition(
     interner: ColorInterner | None = None,
     base: Partition | None = None,
     engine: str = "reference",
-    csr: CSRGraph | None = None,
 ) -> Partition:
     """``λ_Hybrid = BisimRefine*_{UN(λ)}(Blank(λ, UN(λ)))`` for ``λ = λ_Deblank``.
 
@@ -52,23 +49,14 @@ def hybrid_partition(
     points out ``λ_Trivial`` gives the same result); it must share
     *interner*.  *engine* selects the refinement implementation (see
     :mod:`repro.core.dense`) and is used for both the deblanking base and
-    the hybrid re-refinement, so hash-consed colors stay in one key space.
-    *csr* may hand the dense engine a prebuilt snapshot of *graph* (the
-    overlap pipeline shares one snapshot across the base and all of its
-    own rounds).
+    the hybrid re-refinement, so hash-consed colors stay in one key space;
+    on the dense engine both phases read the graph's one cached snapshot.
     """
     refine = resolve_refine_engine(engine)
-    if csr is not None and engine != "dense":
-        raise ExperimentError("a CSR snapshot only applies to the dense engine")
     if interner is None:
         interner = ColorInterner()
-    kwargs = {}
-    if engine == "dense":
-        # One CSR snapshot serves both the deblanking base and the hybrid
-        # re-refinement (the graph does not change in between).
-        kwargs["csr"] = csr if csr is not None else CSRGraph(graph)
     if base is None:
-        base = deblank_partition(graph, interner, engine=engine, **kwargs)
+        base = deblank_partition(graph, interner, engine=engine)
     unaligned = unaligned_non_literals(graph, base)
     blanked = blanked_partition(base, unaligned, interner)
-    return refine(graph, blanked, unaligned, interner, **kwargs)
+    return refine(graph, blanked, unaligned, interner)

@@ -316,24 +316,21 @@ def prepare_signature_run(
     engine: str,
     subset: Collection[NodeId] | None,
     partition: Partition | None,
-    csr: CSRGraph | None,
     stats: SignatureStats | None,
 ) -> tuple[
     CSRGraph, ColorInterner, SignatureStats, dict[NodeId, int], list[int], list[int]
 ]:
     """Validate and stage one k-signature run (shared serial/pooled prep).
 
-    Returns ``(csr, interner, stats, coloring, colors, subset_ids)`` —
-    the serial driver (:func:`ksignature_partition`) and the
-    shared-memory pool (:mod:`repro.experiments.ksig_shard`) both start
-    from exactly this state, which is what makes their outputs
-    byte-identical.
+    Returns ``(csr, interner, stats, coloring, colors, subset_ids)``, where
+    *csr* is *graph*'s cached snapshot — the serial driver
+    (:func:`ksignature_partition`) and the shared-memory pool
+    (:mod:`repro.experiments.ksig_shard`) both start from exactly this
+    state, which is what makes their outputs byte-identical.
     """
     resolve_refine_engine(engine)  # UnknownEngineError; ConfigError without NumPy
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ExperimentError(f"k must be a non-negative integer, got {k!r}")
-    if csr is not None and engine != "dense":
-        raise ExperimentError("a CSR snapshot only applies to the dense engine")
     if interner is None:
         interner = ColorInterner()
     if partition is None:
@@ -344,8 +341,7 @@ def prepare_signature_run(
         stats = SignatureStats()
     stats.engine = engine
     stats.k = k
-    if csr is None:
-        csr = CSRGraph(graph)
+    csr = graph.csr()
 
     coloring = partition.as_dict()
     colors = csr.gather_colors(coloring)
@@ -361,7 +357,6 @@ def ksignature_partition(
     engine: str = "reference",
     subset: Collection[NodeId] | None = None,
     partition: Partition | None = None,
-    csr: CSRGraph | None = None,
     stats: SignatureStats | None = None,
     hasher: SignatureHasher | None = None,
 ) -> Partition:
@@ -377,14 +372,13 @@ def ksignature_partition(
 
     *engine* selects the payload builder (``"dense"``: the dense
     engine's NumPy builder; ``"reference"``: pure Python); both engines
-    produce byte-identical colors.
-    *csr* may hand a prebuilt snapshot of *graph* to the dense engine.
+    read *graph*'s cached snapshot and produce byte-identical colors.
     *hasher* replaces the 63-bit BLAKE2b signature hasher (testing
     hook); collisions are detected against full-width digests either
     way and raise :class:`~repro.exceptions.SignatureCollisionError`.
     """
     csr, interner, stats, coloring, colors, subset_ids = prepare_signature_run(
-        graph, interner, k, engine, subset, partition, csr, stats
+        graph, interner, k, engine, subset, partition, stats
     )
     colors, rounds, converged, classes = ksignature_colors(
         csr, colors, subset_ids, k, interner,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection
 
 from ..exceptions import PartitionError
 from ..model.graph import NodeId, TripleGraph

@@ -27,7 +27,7 @@ from ..model.namespaces import (
 from ..model.rdf import RDFGraph, lit
 from ..model.union import CombinedGraph, combine
 from .ground_truth import GroundTruth
-from .mutations import make_name, sample_fraction
+from .mutations import make_name
 
 CATEGORY = Namespace("http://dbpedia.example.org/category/")
 RESOURCE = Namespace("http://dbpedia.example.org/resource/")

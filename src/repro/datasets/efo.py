@@ -24,7 +24,7 @@ checks, not for reproducing the published figures).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..model.labels import URI
 from ..model.namespaces import (

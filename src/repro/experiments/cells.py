@@ -12,7 +12,7 @@ byte-for-byte (Figure 16's cell also returns timings, which do not).
 from __future__ import annotations
 
 from ..align.config import AlignConfig
-from ..align.methods import MethodContext, run_method
+from ..align.methods import run_method
 from ..core.bisimulation import bisimulation_partition
 from ..core.hybrid import hybrid_partition
 from ..core.trivial import trivial_partition
@@ -102,11 +102,7 @@ def kbisim_counts_cell(store, config, pair: tuple[int, int]) -> dict:
     """
     config = config or _DEFAULT_CONFIG
     source, target = pair
-    union = store.union(source, target)
-    csr = store.union_csr(source, target) if config.engine == "dense" else None
-    result = run_method(
-        union, config.evolve(method="kbisim"), MethodContext(csr=csr)
-    )
+    result = run_method(store.union(source, target), config.evolve(method="kbisim"))
     return {
         "pair": (source, target),
         "k": config.k,
@@ -168,14 +164,18 @@ def theta_precision_cell(store, config, item: tuple[int, int, float]) -> dict:
 def method_timings_cell(store, config, index: int) -> dict:
     """Figure 16: trivial/hybrid/overlap seconds on one consecutive pair.
 
-    Times the *methods* in-process (union construction is excluded).
-    Under a pool the cells run concurrently, so per-cell times can
-    inflate under CPU contention while the wall-clock of the whole run
-    drops; the timing columns are the only output that varies.
+    Times the *methods* in-process (union construction is excluded, and
+    on the dense engine so is the union's CSR snapshot, which every
+    method then reads).  Under a pool the cells run concurrently, so
+    per-cell times can inflate under CPU contention while the wall-clock
+    of the whole run drops; the timing columns are the only output that
+    varies.
     """
     config = config or _DEFAULT_CONFIG
     engine = config.engine
     union = store.union(index, index + 1)
+    if engine == "dense":
+        union.csr()
     stats = union.stats()
     stopwatch = StopwatchSeries()
     trivial_interner = ColorInterner()
@@ -194,7 +194,8 @@ def method_timings_cell(store, config, index: int) -> dict:
         "overlap",
         index + 1,
         lambda: overlap_partition(
-            union, theta=config.theta, interner=hybrid_interner, base=hybrid
+            union, theta=config.theta, interner=hybrid_interner, base=hybrid,
+            engine=engine,
         ),
     )
     return {

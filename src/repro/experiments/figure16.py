@@ -27,7 +27,7 @@ def run(
 ) -> ExperimentResult:
     config = config or AlignConfig()
     store = VersionStore.shared("dbpedia", scale=scale, seed=seed, versions=versions)
-    store.prepare()
+    store.prepare(csr=config.engine == "dense")
     rows = run_store_cells(
         store, method_timings_cell, range(versions - 1),
         jobs=config.jobs, config=config,

@@ -138,7 +138,6 @@ def pooled_ksignature_partition(
     engine: str = "reference",
     subset: Collection[NodeId] | None = None,
     partition: Partition | None = None,
-    csr: CSRGraph | None = None,
     stats: SignatureStats | None = None,
     jobs: int = 2,
 ) -> Partition:
@@ -153,7 +152,7 @@ def pooled_ksignature_partition(
     change a result, only wall-clock.
     """
     csr, interner, stats, coloring, colors, subset_ids = prepare_signature_run(
-        graph, interner, k, engine, subset, partition, csr, stats
+        graph, interner, k, engine, subset, partition, stats
     )
     workers = usable_cpus() if jobs == 0 else jobs
     workers = min(workers, len(subset_ids)) if subset_ids else 1

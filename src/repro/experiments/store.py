@@ -11,9 +11,10 @@ layouts).  :class:`VersionStore` materializes each version's reusable
 artifacts exactly once and shares them across cells and methods:
 
 * the version graphs themselves (via the memoized dataset generators),
-* a per-version :class:`~repro.model.csr.CSRGraph` block — cell snapshots
-  are assembled by :meth:`CSRGraph.from_blocks` instead of re-walking the
-  union,
+* a per-version :class:`~repro.model.csr.CSRGraph` block, held by the
+  version graph itself (:meth:`~repro.model.graph.TripleGraph.csr`) — a
+  pair's union assembles its snapshot from the two blocks instead of
+  re-walking the union,
 * a per-version *deblank summary*: the fixpoint classes of the version's
   blank nodes plus their class-level out-structure.  Because bisimulation
   refinement never crosses the disjoint union's sides, the union's
@@ -44,14 +45,13 @@ from typing import Callable, Hashable, Sequence
 
 from ..align.config import AlignConfig
 from ..core.hybrid import hybrid_partition
-from ..core.maintain import deblank_fixpoint, maintain_or_batch
 from ..core.refinement import bisim_refine_fixpoint
 from ..datasets import registry as _registry
 from ..datasets.dbpedia import DBpediaCategoryGenerator
 from ..datasets.efo import EFOGenerator
 from ..datasets.gtopdb import GtoPdbGenerator
 from ..datasets.synthetic import SHAPE_FAMILIES
-from ..exceptions import CorruptStoreError, ExperimentError
+from ..exceptions import CorruptStoreError, ExperimentError, GraphError
 from ..model.csr import CSRGraph
 from ..model.graph import NodeId, TripleGraph
 from ..model.labels import is_blank
@@ -267,7 +267,6 @@ class CellContext:
     target: int
     engine: str
     union: CombinedGraph
-    csr: CSRGraph | None
     interner: ColorInterner
     deblank: Partition
     hybrid: Partition
@@ -285,8 +284,9 @@ _registry.register_clear_hook(_SHARED_STORES.clear)
 class VersionStore:
     """Materializes each dataset version's reusable artifacts exactly once."""
 
-    #: Unions/snapshots kept per store; a figure touches consecutive or
-    #: triangular pairs, so a small window gets all the reuse there is.
+    #: Unions kept per store (each holds its snapshot once built); a figure
+    #: touches consecutive or triangular pairs, so a small window gets all
+    #: the reuse there is.
     UNION_CACHE_SIZE = 12
 
     #: Cell contexts / overlap results kept per store.  They pin unions,
@@ -300,21 +300,11 @@ class VersionStore:
         self.generator = generator
         self.versions = versions
         self._summaries: dict[int, BlankSummary] = {}
-        self._fixpoints: dict[int, Partition] = {}
-        # Maintenance-chain state: one interner for every maintained
-        # fixpoint (the verbatim-carry contract) plus the cross-step
-        # canonical-form cache of the coarsening pass.
-        self._chain_interner = ColorInterner()
-        self._canon_cache: dict = {}
-        self._csr_blocks: dict[int, CSRGraph] = {}
-        #: Versions whose block was checked against the graph's node order.
-        self._matched_blocks: set[int] = set()
         self._edge_tokens: dict[tuple[int, str], frozenset] = {}
         self._trivial_sides: dict[tuple[int, int], frozenset] = {}
         self._static_stats: dict[tuple[int, int], tuple[int, int]] = {}
         self._joints: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._unions: OrderedDict[tuple[int, int], CombinedGraph] = OrderedDict()
-        self._union_csrs: OrderedDict[tuple[int, int], CSRGraph] = OrderedDict()
         self._contexts: OrderedDict[tuple[int, int, str], CellContext] = OrderedDict()
         self._overlaps: OrderedDict[tuple, tuple] = OrderedDict()
         self._truths: dict[tuple[int, int], object] = {}
@@ -407,59 +397,6 @@ class VersionStore:
         summary = blank_summary(self.graph(version))
         self._summaries[version] = summary
         return summary
-
-    def blank_fixpoint(self, version: int) -> Partition:
-        """The version's deblanking fixpoint, cached alongside CSR blocks.
-
-        When the generator exposes identity-preserving deltas
-        (``version_changes``, like :class:`~repro.datasets.synthetic.
-        SyntheticGenerator`), every version after the first is
-        *maintained* from its predecessor's partition
-        (:func:`repro.core.maintain.maintain_or_batch`) instead of
-        refined from scratch — equivalent as a partition either way.
-        """
-        cached = self._fixpoints.get(version)
-        if cached is not None:
-            self._count("fixpoint", hit=True)
-            return cached
-        self._count("fixpoint", hit=False)
-        graph = self.graph(version)
-        version_changes = getattr(self.generator, "version_changes", None)
-        if version > 0 and version_changes is not None:
-            previous = self.blank_fixpoint(version - 1)
-            partition = maintain_or_batch(
-                graph,
-                previous,
-                version_changes(version - 1),
-                graph.blanks(),
-                self._chain_interner,
-                canon_cache=self._canon_cache,
-            )
-        else:
-            partition = deblank_fixpoint(graph, self._chain_interner)
-        self._fixpoints[version] = partition
-        return partition
-
-    def maintained_summary(self, version: int) -> BlankSummary:
-        """A :class:`BlankSummary` built on the maintained fixpoint.
-
-        Identical in value to :meth:`summary` (summaries are invariant
-        under partition recoloring); the batch path stays the default so
-        the differential oracle compares genuinely independent pipelines.
-        """
-        return summary_from_partition(
-            self.graph(version), self.blank_fixpoint(version)
-        )
-
-    def csr_block(self, version: int) -> CSRGraph:
-        cached = self._csr_blocks.get(version)
-        if cached is not None:
-            self._count("csr_block", hit=True)
-            return cached
-        self._count("csr_block", hit=False)
-        block = CSRGraph(self.graph(version))
-        self._csr_blocks[version] = block
-        return block
 
     def _split_edge_tokens(self, version: int, method: str) -> tuple[frozenset, frozenset]:
         """``(static, blank_touching)`` distinct edge triples over tokens.
@@ -567,34 +504,6 @@ class VersionStore:
             lambda: CombinedGraph(self.graph(source), self.graph(target)),
             "union",
         )
-
-    def union_csr(self, source: int, target: int) -> CSRGraph:
-        """The pair's CSR snapshot, assembled from the per-version blocks."""
-        return self._lru(
-            self._union_csrs,
-            (source, target),
-            lambda: CSRGraph.from_blocks(
-                self._union_block(source), self._union_block(target)
-            ),
-            "union_csr",
-        )
-
-    def _union_block(self, version: int) -> CSRGraph:
-        """The version's CSR block, checked once to list the graph's nodes.
-
-        The union numbers each version's nodes in the graph's node order
-        and :meth:`CSRGraph.from_blocks` in the block's, so a block in any
-        other order would give each union id another node's adjacency.
-        """
-        block = self.csr_block(version)
-        if version not in self._matched_blocks:
-            if block.nodes != list(self.graph(version).nodes()):
-                raise ExperimentError(
-                    f"the CSR block of version {version} does not list the "
-                    "version graph's nodes in the graph's order"
-                )
-            self._matched_blocks.add(version)
-        return block
 
     def ground_truth(self, source: int, target: int):
         """The generator's ground truth for a pair (generators that have one)."""
@@ -715,7 +624,7 @@ class VersionStore:
     def cell_context(
         self, source: int, target: int, config: AlignConfig | None = None
     ) -> CellContext:
-        """Union + snapshot + composed deblank + hybrid for one pair.
+        """Union + composed deblank + hybrid for one pair.
 
         Alignment settings arrive as one
         :class:`~repro.align.config.AlignConfig` (only its ``engine``
@@ -728,18 +637,14 @@ class VersionStore:
 
         def build() -> CellContext:
             union = self.union(source, target)
-            csr = self.union_csr(source, target) if engine == "dense" else None
             interner = ColorInterner()
             deblank = self.deblank_partition(source, target, interner, union)
-            hybrid = hybrid_partition(
-                union, interner, base=deblank, engine=engine, csr=csr
-            )
+            hybrid = hybrid_partition(union, interner, base=deblank, engine=engine)
             return CellContext(
                 source=source,
                 target=target,
                 engine=engine,
                 union=union,
-                csr=csr,
                 interner=interner,
                 deblank=deblank,
                 hybrid=hybrid,
@@ -780,7 +685,6 @@ class VersionStore:
                 trace=trace,
                 splitter=self._store_splitter(config.splitter),
                 engine=config.engine,
-                csr=context.csr,
             )
             return (weighted, trace)
 
@@ -810,7 +714,8 @@ class VersionStore:
         Figures call this before sharding cells across workers so the
         expensive once-per-version work happens in the parent and reaches
         every pool worker through the published store instead of being
-        redone ``jobs`` times.
+        redone ``jobs`` times.  *csr* builds each version graph's CSR
+        block, which :meth:`publish_shared` then publishes.
         """
         selected = list(versions) if versions is not None else list(range(self.versions))
         for version in selected:
@@ -820,7 +725,7 @@ class VersionStore:
             for method in tokens:
                 self.edge_tokens(version, method)
             if csr:
-                self.csr_block(version)
+                self.graph(version).csr()
 
     def _store_splitter(self, base: Callable) -> Callable:
         """Memoize the default splitter in the store-wide literal cache.
@@ -853,9 +758,10 @@ class VersionStore:
         :meth:`from_manifest`.  CSR index arrays go in raw (workers map
         them back as zero-copy numpy views); graphs and the derived
         Python-object artifacts travel as one pickle each.  Only what is
-        already cached is published — a worker recomputes anything it
-        misses from the shared graphs, deterministically, so results
-        never depend on how warm the parent's caches were.
+        already built is published (a graph's pickle never carries its
+        block) — a worker recomputes anything it misses from the shared
+        graphs, deterministically, so results never depend on how warm
+        the parent's caches were.
         """
         graphs = [self.graph(version) for version in range(self.versions)]
         return {
@@ -863,8 +769,9 @@ class VersionStore:
             "identity": dict(self.identity) if self.identity else None,
             "graphs": registry.publish_pickle(graphs),
             "csr": {
-                version: block.to_shared(registry)
-                for version, block in sorted(self._csr_blocks.items())
+                version: graph.csr().to_shared(registry)
+                for version, graph in enumerate(graphs)
+                if graph.has_csr
             },
             "summaries": registry.publish_pickle(dict(self._summaries)),
             "edge_tokens": registry.publish_pickle(dict(self._edge_tokens)),
@@ -879,10 +786,10 @@ class VersionStore:
     def from_manifest(cls, manifest: dict) -> "VersionStore":
         """Attach a published store inside a pool worker (fork or spawn).
 
-        CSR blocks become zero-copy views over the parent's segments;
-        the segment handles are pinned on the store for the worker's
-        lifetime (``_shm_keepalive``) — the owning registry, not the
-        worker, unlinks them.
+        CSR blocks become zero-copy views over the parent's segments,
+        installed on their graphs; the segment handles are pinned on the
+        store for the worker's lifetime (``_shm_keepalive``) — the owning
+        registry, not the worker, unlinks them.
         """
         from .shm import attach_pickle
 
@@ -891,8 +798,8 @@ class VersionStore:
         store = cls(_PrebuiltHistory(graphs))
         store.identity = manifest.get("identity")
         for version, csr_manifest in manifest["csr"].items():
-            store._csr_blocks[int(version)] = CSRGraph.from_shared(
-                csr_manifest, keepalive
+            graphs[int(version)].install_csr(
+                CSRGraph.from_shared(csr_manifest, keepalive)
             )
         store._summaries.update(attach_pickle(manifest["summaries"]))
         store._edge_tokens.update(attach_pickle(manifest["edge_tokens"]))
@@ -930,7 +837,7 @@ class VersionStore:
                 f"graphs/{version}.nt",
                 ntriples.dumps(graph, sort=True).encode("utf-8"),
             )
-            block = self.csr_block(version)
+            block = self.graph(version).csr()
             backend.put_blob(
                 f"csr/{version}/nodes",
                 pickle.dumps(block.nodes, protocol=pickle.HIGHEST_PROTOCOL),
@@ -960,10 +867,10 @@ class VersionStore:
         *expect* pins the archive identity (family/scale/seed/versions):
         a mismatch raises instead of silently aligning the wrong data.
         CSR blocks come back as read-only views over the backend's block
-        storage (memory-mapped files for :class:`DiskBackend`).  Graphs
-        are stored as sorted N-Triples, so each reparsed graph is rebuilt
-        to list its nodes in its block's order: union ids are the blocks'
-        dense ids.
+        storage (memory-mapped files for :class:`DiskBackend`), installed
+        on their graphs.  Graphs are stored as sorted N-Triples, so each
+        reparsed graph is rebuilt to list its nodes in its block's order:
+        union ids are the blocks' dense ids.
 
         **Quarantine-and-rebuild:** derived artifacts (CSR blocks,
         summaries, edge tokens, literal splits) that fail checksum
@@ -1025,15 +932,14 @@ class VersionStore:
             # fatal.  Unpickling hostile bytes can raise any of these.
             try:
                 return rebuild_fn()
-            except (CorruptStoreError, OSError, pickle.UnpicklingError,
-                    EOFError, ValueError, TypeError, KeyError,
-                    IndexError, AttributeError) as error:
+            except (CorruptStoreError, GraphError, OSError,
+                    pickle.UnpicklingError, EOFError, ValueError, TypeError,
+                    KeyError, IndexError, AttributeError) as error:
                 quarantined.append(
                     {"key": description, "reason": repr(error)}
                 )
                 return None
 
-        blocks: dict[int, CSRGraph] = {}
         for version in range(versions):
             def load_block(version=version):
                 nodes_blob = backend.get_blob(f"csr/{version}/nodes")
@@ -1047,15 +953,12 @@ class VersionStore:
                 # keeps the node order of the graph it was built from.
                 graph = _in_node_order(graphs[version], pickle.loads(nodes_blob))
                 graphs[version] = graph
-                return CSRGraph.from_parts(list(graph.nodes()), *arrays)
+                graph.install_csr(CSRGraph.from_parts(list(graph.nodes()), *arrays))
 
-            block = salvage(f"csr/{version}", load_block)
-            if block is not None:
-                blocks[version] = block
+            salvage(f"csr/{version}", load_block)
         store = cls(_PrebuiltHistory(graphs))
         store.identity = identity or None
         store.backend = backend
-        store._csr_blocks.update(blocks)
         for key, attribute in (
             ("artifacts/summaries", "_summaries"),
             ("artifacts/edge_tokens", "_edge_tokens"),

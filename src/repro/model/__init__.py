@@ -1,6 +1,6 @@
 """Data model: labels, triple graphs, RDF graphs and disjoint unions."""
 
-from .csr import CSRGraph, csr_snapshot
+from .csr import CSRGraph
 from .graph import Edge, GraphStats, NodeId, OutPair, TripleGraph
 from .labels import (
     BLANK,
@@ -41,7 +41,6 @@ __all__ = [
     "blank",
     "combine",
     "combine_many",
-    "csr_snapshot",
     "graph_from_triples",
     "is_blank",
     "is_literal",

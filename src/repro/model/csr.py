@@ -16,6 +16,12 @@ arrays:
 The per-round work of the dense engine (:mod:`repro.core.dense`) then
 reduces to array indexing over these buffers — no hashing of node
 identifiers, no per-node set objects.
+
+A snapshot is derived state of the graph it describes:
+:meth:`TripleGraph.csr() <repro.model.graph.TripleGraph.csr>` builds it
+once and caches it until the graph changes, and a union's
+:meth:`~repro.model.union.CombinedGraph.csr` is assembled from its two
+sides' snapshots by :meth:`CSRGraph.from_blocks`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ class CSRGraph:
     """An immutable CSR snapshot of a :class:`~repro.model.graph.TripleGraph`.
 
     Construction is O(|N| + |E|); the snapshot does not follow later
-    mutations of the source graph.
+    mutations of the source graph (read it through the graph's
+    :meth:`~repro.model.graph.TripleGraph.csr`, which drops a snapshot
+    the graph has outgrown).
     """
 
     __slots__ = ("nodes", "index", "out_offsets", "out_predicates", "out_objects")
@@ -233,40 +241,42 @@ class CSRGraph:
         followed by the target block with every dense id offset by
         ``source.num_nodes``.
 
-        This is the batch-execution fast path (see
-        :class:`repro.experiments.store.VersionStore`): each version's
-        block is built once and shared by every matrix cell touching it.
+        :meth:`CombinedGraph.csr() <repro.model.union.CombinedGraph.csr>`
+        calls this once per union, so each version's block is built once
+        and shared by every pair touching it.  The blocks are read through
+        the buffer protocol (``array('q')``, NumPy views over shared
+        memory, read-only memmaps) with the standard library alone: the
+        reference engine's k-signature runs read this snapshot too.
         """
         snapshot = cls.__new__(cls)
         offset = source.num_nodes
         count = offset + target.num_nodes
         snapshot.nodes = list(range(count))
         snapshot.index = dict(zip(snapshot.nodes, range(count)))
-        offsets = array(INDEX_TYPECODE, source.out_offsets)
-        base = source.out_offsets[-1]
-        offsets.extend(base + v for v in target.out_offsets[1:])
-        snapshot.out_offsets = offsets
+        pairs = int(source.out_offsets[-1])  # a NumPy view yields numpy ints
+        snapshot.out_offsets = _concat_shifted(
+            source.out_offsets, _int64s(target.out_offsets)[1:], pairs
+        )
         snapshot.out_predicates = _concat_shifted(
-            source.out_predicates, target.out_predicates, offset
+            source.out_predicates, _int64s(target.out_predicates), offset
         )
         snapshot.out_objects = _concat_shifted(
-            source.out_objects, target.out_objects, offset
+            source.out_objects, _int64s(target.out_objects), offset
         )
         return snapshot
 
 
-def _concat_shifted(first: array, second: array, offset: int) -> array:
-    """``first + (second + offset)`` on index arrays (dense engine: NumPy)."""
-    import numpy
+def _int64s(buffer: array) -> memoryview:
+    """*buffer*'s items as a flat int64 memoryview (Python ints on read)."""
+    return memoryview(buffer).cast("B").cast(INDEX_TYPECODE)
 
-    out = array(INDEX_TYPECODE, first)
-    out.frombytes((numpy.frombuffer(second, dtype=numpy.int64) + offset).tobytes())
+
+def _concat_shifted(first: array, second: memoryview, offset: int) -> array:
+    """``first + (second + offset)`` as one ``array('q')``."""
+    out = array(INDEX_TYPECODE)
+    out.frombytes(memoryview(first).cast("B"))
+    out.extend(map(offset.__add__, second))
     return out
-
-
-def csr_snapshot(graph: TripleGraph) -> CSRGraph:
-    """Build a :class:`CSRGraph` snapshot of *graph*."""
-    return CSRGraph(graph)
 
 
 def subset_mask(csr: CSRGraph, subset: Collection[NodeId] | None) -> list[int]:

@@ -17,10 +17,13 @@ from ``s`` to the pair ``(p, o)``; therefore the central accessor is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from ..exceptions import GraphError
-from .labels import BLANK, Label, NodeKind, is_blank, is_literal, is_uri
+from .labels import Label, NodeKind, is_blank, is_literal, is_uri
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .csr import CSRGraph
 
 #: Node identifiers may be any hashable value (ints for generated data,
 #: strings or label objects for hand-built graphs).
@@ -60,17 +63,20 @@ class TripleGraph:
 
     The graph maintains the outbound-neighborhood index incrementally so
     that :meth:`out` is O(1), which the partition-refinement algorithms rely
-    on.  A reverse *occurrence index* (node → nodes whose out-pairs mention
-    it) is built lazily for the incremental refinement variant.
+    on.  Two indexes are derived state, built on first use and dropped when
+    the graph changes: the reverse *occurrence index* (node → nodes whose
+    out-pairs mention it) of the incremental refinement variant, and the
+    :meth:`csr` snapshot every dense kernel reads.
     """
 
-    __slots__ = ("_labels", "_edges", "_out", "_occurrences")
+    __slots__ = ("_labels", "_edges", "_out", "_occurrences", "_csr")
 
     def __init__(self) -> None:
         self._labels: dict[NodeId, Label] = {}
         self._edges: set[Edge] = set()
         self._out: dict[NodeId, set[OutPair]] = {}
         self._occurrences: dict[NodeId, set[NodeId]] | None = None
+        self._csr: CSRGraph | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,6 +90,7 @@ class TripleGraph:
         existing = self._labels.get(node)
         if existing is None:
             self._labels[node] = label
+            self._csr = None
         elif existing != label:
             raise GraphError(
                 f"node {node!r} already has label {existing!r}; cannot relabel to {label!r}"
@@ -103,7 +110,8 @@ class TripleGraph:
         if edge not in self._edges:
             self._edges.add(edge)
             self._out.setdefault(subject, set()).add((predicate, obj))
-            self._occurrences = None  # invalidate the lazy reverse index
+            self._occurrences = None  # invalidate the lazy indexes
+            self._csr = None
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Add many triples at once, in order.
@@ -115,7 +123,8 @@ class TripleGraph:
         labels = self._labels
         known = self._edges
         out = self._out
-        self._occurrences = None  # invalidate the lazy reverse index
+        self._occurrences = None  # invalidate the lazy indexes
+        self._csr = None
         for edge in edges:
             subject, predicate, obj = edge
             if subject not in labels or predicate not in labels or obj not in labels:
@@ -260,6 +269,57 @@ class TripleGraph:
                 index.setdefault(obj, set()).add(subject)
             self._occurrences = index
         return self._occurrences
+
+    # ------------------------------------------------------------------
+    # CSR snapshot (for the dense engine)
+    # ------------------------------------------------------------------
+    def csr(self) -> "CSRGraph":
+        """This graph's :class:`~repro.model.csr.CSRGraph` snapshot.
+
+        Built on first use and cached until the graph changes, so every
+        dense kernel run over one graph reads one snapshot.  The snapshot
+        lists the nodes in :meth:`nodes` order.
+        """
+        if self._csr is None:
+            from .csr import CSRGraph  # csr imports this module
+
+            self._csr = CSRGraph(self)
+        return self._csr
+
+    @property
+    def has_csr(self) -> bool:
+        """Whether the snapshot is built (reading this builds nothing)."""
+        return self._csr is not None
+
+    def install_csr(self, snapshot: "CSRGraph") -> None:
+        """Use a prebuilt *snapshot* of this graph (shared memory, an archive).
+
+        The one way in for a snapshot built elsewhere.  Raises
+        :class:`GraphError` unless *snapshot* lists this graph's nodes in
+        this graph's order and holds one pair per edge: dense ids are
+        positions in the node order, so any other block would hand each
+        node another node's adjacency.
+        """
+        if snapshot.num_pairs != len(self._edges) or snapshot.nodes != list(
+            self._labels
+        ):
+            raise GraphError(
+                "the CSR snapshot does not list this graph's nodes in the "
+                "graph's order with one pair per edge"
+            )
+        self._csr = snapshot
+
+    def __getstate__(self) -> tuple[dict[str, object] | None, dict[str, object]]:
+        # The snapshot is derived and may view shared memory or a mapped
+        # file, so a pickle carries the graph alone.
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if hasattr(self, name)
+        }
+        slots["_csr"] = None
+        return getattr(self, "__dict__", None), slots
 
     # ------------------------------------------------------------------
     # Misc

@@ -10,7 +10,8 @@ corresponds to which target node.
 :class:`CombinedGraph` numbers its nodes with plain ints.  The source
 version's ``n1`` nodes are ``0 .. n1-1`` and the target's ``n2`` nodes are
 ``n1 .. n1+n2-1``, each block in its version's node order, so a union id
-is exactly its dense id in :meth:`repro.model.csr.CSRGraph.from_blocks`.
+is exactly its dense id in :meth:`repro.model.csr.CSRGraph.from_blocks`,
+which :meth:`CombinedGraph.csr` calls on the two versions' own snapshots.
 Partitions of the union are keyed by these ints.  The id contract:
 
 * :meth:`~CombinedGraph.side` reads a node's version from its id range;
@@ -32,6 +33,7 @@ from itertools import islice
 from typing import Hashable, Iterable
 
 from ..exceptions import AlignmentError, GraphError
+from .csr import CSRGraph
 from .graph import NodeId, TripleGraph
 
 #: Side markers for the two versions.
@@ -99,6 +101,27 @@ class CombinedGraph(TripleGraph):
                 pairs = out[edge[0]] = set()
             pairs.add(edge[1:])
         return list(lift)
+
+    def csr(self) -> CSRGraph:
+        """The union's snapshot, assembled once from its sides' snapshots.
+
+        Each version graph builds (or was given) its own block once, and
+        every union over it reuses that block.  Raises :class:`GraphError`
+        when a version changed after the union was built, since its block
+        then describes nodes and edges the union does not have.
+        """
+        if self._csr is None:
+            snapshot = CSRGraph.from_blocks(self._source.csr(), self._target.csr())
+            if (
+                snapshot.num_nodes != len(self._labels)
+                or snapshot.num_pairs != len(self._edges)
+            ):
+                raise GraphError(
+                    "a version graph changed after the union was built; "
+                    "combine the versions again"
+                )
+            self._csr = snapshot
+        return self._csr
 
     # ------------------------------------------------------------------
     # Sides

@@ -14,10 +14,10 @@ branch "release N+1" off "release N".
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..exceptions import SchemaError
-from .schema import Column, ColumnType, Schema, Table
+from .schema import ColumnType, Schema, Table
 
 #: A primary-key value tuple.
 KeyTuple = tuple[Any, ...]

@@ -10,7 +10,7 @@ dependency-ordered cascading deletes and bulk updates.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..exceptions import SchemaError
 from .database import KeyTuple, RelationalDatabase

@@ -24,7 +24,7 @@ run_store_cells`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..exceptions import ConfigError, TransientError

@@ -259,26 +259,24 @@ def dense_overlap_partition(
     operator: OplusOperator = oplus,
     trace=None,
     splitter=split_words,
-    csr: CSRGraph | None = None,
 ) -> WeightedPartition:
-    """``Overlap(G, θ)`` — Algorithm 2 over one shared CSR snapshot.
+    """``Overlap(G, θ)`` — Algorithm 2 over the union's CSR snapshot.
 
     Drop-in for the reference
     :func:`~repro.similarity.overlap_alignment.overlap_partition`
     (reached via its ``engine="dense"`` parameter): same loop, same
     trace semantics, partitions equivalent up to color renaming and
-    weights within ``ε``.  *csr* may supply a prebuilt snapshot (the API
-    shares one with the hybrid base construction).
+    weights within ``ε``.  Every generation, and the hybrid base when it
+    is built here, reads ``graph.csr()``.
     """
     from ..core.hybrid import hybrid_partition  # late import to avoid a cycle
     from .overlap_alignment import literal_characterizer, literal_distance
 
     if interner is None:
         interner = ColorInterner()
-    if csr is None:
-        csr = CSRGraph(graph)
     if base is None:
-        base = hybrid_partition(graph, interner, engine="dense", csr=csr)
+        base = hybrid_partition(graph, interner, engine="dense")
+    csr = graph.csr()
 
     nodes = csr.nodes
     index = csr.index

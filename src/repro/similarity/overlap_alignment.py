@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from ..core.refinement import WeightFixpointStats
-from ..exceptions import ExperimentError
 from ..model.graph import NodeId
 from ..model.labels import Literal
 from ..model.union import CombinedGraph
@@ -37,7 +36,7 @@ from ..partition.alignment import PartitionAlignment
 from ..partition.coloring import Partition
 from ..partition.interner import Color, ColorInterner
 from ..partition.weighted import WeightedPartition, zero_weighted
-from .enrichment import WeightedBipartiteGraph, enrich
+from .enrichment import enrich
 from .overlap import ProbeRule, overlap_match
 from .string_distance import normalized_levenshtein, split_words
 from .weighted_refine import DEFAULT_EPSILON, propagate
@@ -191,7 +190,6 @@ def overlap_partition(
     trace: OverlapTrace | None = None,
     splitter: LiteralSplitter = split_words,
     engine: str = "reference",
-    csr=None,
 ) -> WeightedPartition:
     """``Overlap(G, θ)`` — Algorithm 2.
 
@@ -202,8 +200,8 @@ def overlap_partition(
     :func:`literal_characterizer`).  *engine* selects the loop
     implementation: ``"reference"`` (this function's dict-based loop) or
     ``"dense"`` (flat CSR buffers, see
-    :mod:`repro.similarity.dense_overlap`); *csr* may hand the dense
-    engine a prebuilt snapshot of *graph*.
+    :mod:`repro.similarity.dense_overlap`, which reads *graph*'s cached
+    snapshot).
     """
     from ..core.dense import resolve_refine_engine
     from ..core.hybrid import hybrid_partition  # late import to avoid a cycle
@@ -223,11 +221,6 @@ def overlap_partition(
             operator=operator,
             trace=trace,
             splitter=splitter,
-            csr=csr,
-        )
-    if csr is not None:
-        raise ExperimentError(
-            "a CSR snapshot only applies to the dense engine"
         )
     if interner is None:
         interner = ColorInterner()

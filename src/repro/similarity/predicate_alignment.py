@@ -27,7 +27,7 @@ from typing import Hashable
 from ..model.graph import NodeId
 from ..model.union import CombinedGraph
 from ..partition.alignment import PartitionAlignment
-from ..partition.interner import Color, ColorInterner
+from ..partition.interner import ColorInterner
 from ..partition.weighted import WeightedPartition
 from .enrichment import enrich
 from .overlap import ProbeRule, overlap_match, set_difference_distance

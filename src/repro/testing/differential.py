@@ -614,8 +614,8 @@ class _ScenarioOracle:
                 source.save(backend)
                 loaded = VersionStore.load(backend)
                 for version in range(source.versions):
-                    original = source.csr_block(version)
-                    reloaded = loaded.csr_block(version)
+                    original = source.graph(version).csr()
+                    reloaded = loaded.graph(version).csr()
                     if (
                         list(original.nodes) != list(reloaded.nodes)
                         or original.out_offsets.tobytes()

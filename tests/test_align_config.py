@@ -129,5 +129,5 @@ class TestEvolve:
         aligner = Aligner()
         sibling = aligner.evolve(theta=0.8)
         assert sibling.config.theta == 0.8
-        assert sibling._blocks is aligner._blocks
         assert sibling._split_caches is aligner._split_caches
+        assert sibling._loaded is aligner._loaded

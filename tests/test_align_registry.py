@@ -40,10 +40,17 @@ class TestBuiltins:
         assert refines("hybrid", "deblank")
         assert not refines("trivial", "hybrid")
 
-    def test_trivial_and_baselines_skip_csr(self):
-        assert not get_method("trivial").uses_csr
-        assert get_method("hybrid").uses_csr
-        assert not get_method("similarity_flooding").uses_csr
+    def test_trivial_and_baselines_skip_csr(self, figure3_graphs):
+        """Snapshots are built on first read, so methods that never read
+        one build none, even on the dense engine."""
+        for method, reads in (
+            ("trivial", False), ("similarity_flooding", False),
+            ("label_invention", False), ("hybrid", True),
+        ):
+            source, target = (graph.copy() for graph in figure3_graphs)
+            result = Aligner(method=method, engine="dense").align(source, target)
+            assert result.graph.has_csr is reads, method
+            assert source.has_csr is reads, method
 
     def test_unknown_method(self):
         with pytest.raises(UnknownMethodError):
@@ -71,7 +78,7 @@ class TestRegistration:
             )
 
         spec = register_method(
-            MethodSpec("uri_equality", runner, baseline=True, uses_csr=False)
+            MethodSpec("uri_equality", runner, baseline=True)
         )
         yield spec
         unregister_method("uri_equality")

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
+import weakref
 
 import pytest
 
-from repro.align import AlignConfig, Aligner, AlignmentReport
+from repro.align import AlignConfig, Aligner, AlignmentReport, method_names
 from repro.align.report import SCHEMA, SCHEMA_VERSION
 from repro.exceptions import ReportError
 from repro.io import ntriples
-from repro.model import blank, lit, uri
+from repro.model import RDFGraph, blank, lit, uri
+from repro.model.csr import CSRGraph
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +47,25 @@ class TestSession:
         with pytest.raises(TypeError):
             Aligner().align(42, 43)  # type: ignore[arg-type]
 
-    def test_align_pairs_reuses_graphs(self, gtopdb_graphs):
+    def test_align_pairs_reuses_graphs(self, gtopdb_graphs, monkeypatch):
+        graphs = [graph.copy() for graph in gtopdb_graphs[:3]]
+        walks = []
+        build = CSRGraph.__init__
+
+        def counting(snapshot, graph):
+            walks.append(graph)
+            build(snapshot, graph)
+
+        monkeypatch.setattr(CSRGraph, "__init__", counting)
         aligner = Aligner(AlignConfig(method="deblank", engine="dense"))
         results = aligner.align_pairs(
-            [
-                (gtopdb_graphs[0], gtopdb_graphs[1]),
-                (gtopdb_graphs[1], gtopdb_graphs[2]),
-                (gtopdb_graphs[0], gtopdb_graphs[2]),
-            ]
+            [(graphs[0], graphs[1]), (graphs[1], graphs[2]), (graphs[0], graphs[2])]
         )
         assert len(results) == 3
-        # Three distinct graphs were snapshotted exactly once each.
-        assert len(aligner._blocks) == 3
+        # Three distinct graphs were walked exactly once each; the unions
+        # were assembled from their blocks.
+        assert sorted(map(id, walks)) == sorted(map(id, graphs))
+        monkeypatch.undo()
         for result, (a, b) in zip(
             results, [(0, 1), (1, 2), (0, 2)]
         ):
@@ -83,18 +94,53 @@ class TestSession:
 
     def test_session_caches_are_bounded(self):
         """A session over an open-ended graph stream must not pin every
-        input forever (the VersionStore LRU precedent)."""
-        from repro.model import RDFGraph, lit, uri
+        input forever: it keeps no in-memory graph (nor its snapshot)."""
+
+        class Graph(RDFGraph):  # no __slots__, so it takes weak references
+            pass
 
         aligner = Aligner(AlignConfig(method="deblank", engine="dense"))
-        keep = []
-        for index in range(aligner.BLOCK_CACHE_SIZE + 8):
-            g1, g2 = RDFGraph(), RDFGraph()
+        refs = []
+        for index in range(4):
+            g1, g2 = Graph(), Graph()
             g1.add(uri("a"), uri("p"), lit(f"x{index}"))
             g2.add(uri("a"), uri("p"), lit(f"x{index}"))
-            keep.extend((g1, g2))  # hold ids stable for the assertion
             aligner.align(g1, g2)
-        assert len(aligner._blocks) <= aligner.BLOCK_CACHE_SIZE
+            assert g1.has_csr and g2.has_csr
+            refs += [weakref.ref(g1), weakref.ref(g2)]
+        del g1, g2
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_grown_graph_realigns_like_a_fresh_session(self, figure3_graphs, method):
+        """A graph that grows in place between two alignments of one
+        session gets a new snapshot, never its old one."""
+        source, target = (graph.copy() for graph in figure3_graphs)
+        config = AlignConfig(method=method, engine="dense")
+        aligner = Aligner(config)
+        aligner.align(source, target)
+        source.add(uri("late"), uri("p"), lit("grown"))
+        target.add(uri("late"), uri("p"), lit("grown"))
+        again = aligner.align(source, target).report(config).to_json()
+        fresh_graphs = [graph.copy() for graph in (source, target)]
+        assert again == Aligner(config).align(*fresh_graphs).report(config).to_json()
+
+    def test_pickles_carry_no_snapshot(self, figure3_graphs):
+        source, target = (graph.copy() for graph in figure3_graphs)
+        result = Aligner(AlignConfig(method="hybrid", engine="dense")).align(
+            source, target
+        )
+        union = result.graph
+        assert union.has_csr and source.has_csr
+        for graph in (source, union):
+            clone = pickle.loads(pickle.dumps(graph))
+            assert not clone.has_csr
+            assert list(clone.nodes()) == list(graph.nodes())
+            assert set(clone.edges()) == set(graph.edges())
+        clone = pickle.loads(pickle.dumps(union))
+        assert not clone.source.has_csr and not clone.target.has_csr
+        assert list(clone.csr().out_offsets) == list(union.csr().out_offsets)
 
     def test_path_cache_is_bounded(self, tmp_path, figure3_graphs):
         source, target = figure3_graphs

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import GraphError
-from repro.model import RDFGraph, blank, lit, uri
-from repro.model.csr import CSRGraph, csr_snapshot, subset_mask
+from repro.model import RDFGraph, blank, combine, lit, uri
+from repro.model.csr import CSRGraph, subset_mask
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def small_graph() -> RDFGraph:
 
 class TestSnapshot:
     def test_node_indexing_roundtrip(self, small_graph):
-        csr = csr_snapshot(small_graph)
+        csr = small_graph.csr()
         assert csr.num_nodes == small_graph.num_nodes
         for node in small_graph.nodes():
             assert csr.nodes[csr.dense_id(node)] == node
@@ -113,3 +113,86 @@ class TestColorsAndSubsets:
             mine = slice(offsets[k], offsets[k + 1])
             assert list(predicates[mine]) == list(csr.out_predicates[start:end])
             assert list(objects[mine]) == list(csr.out_objects[start:end])
+
+
+def _arrays(csr: CSRGraph) -> tuple[list[int], list[int], list[int]]:
+    return (
+        list(csr.out_offsets), list(csr.out_predicates), list(csr.out_objects)
+    )
+
+
+class TestGraphOwnsSnapshot:
+    def test_snapshot_is_cached_until_the_graph_grows(self, small_graph):
+        csr = small_graph.csr()
+        assert small_graph.csr() is csr
+        small_graph.add_node(uri("lone"), uri("lone"))
+        grown = small_graph.csr()
+        assert grown is not csr and grown.num_nodes == csr.num_nodes + 1
+        small_graph.add_edge(uri("lone"), uri("p"), lit("x"))
+        assert small_graph.csr().num_pairs == csr.num_pairs + 1
+        small_graph.add_edges([(uri("lone"), uri("q"), lit("x"))])
+        assert small_graph.csr().num_pairs == csr.num_pairs + 2
+        # Re-adding what the graph has changes nothing, so keeps the block.
+        kept = small_graph.csr()
+        small_graph.add_node(uri("lone"), uri("lone"))
+        small_graph.add_edge(uri("lone"), uri("p"), lit("x"))
+        assert small_graph.csr() is kept
+
+    def test_install_refuses_a_block_in_another_node_order(self, small_graph):
+        block = CSRGraph(small_graph)
+        reordered = CSRGraph.from_parts(
+            block.nodes[::-1], block.out_offsets, block.out_predicates,
+            block.out_objects,
+        )
+        with pytest.raises(GraphError, match="graph's order"):
+            small_graph.install_csr(reordered)
+        small_graph.add(uri("late"), uri("p"), lit("y"))
+        with pytest.raises(GraphError):  # a block the graph has outgrown
+            small_graph.install_csr(block)
+        assert not small_graph.has_csr
+        fresh = CSRGraph(small_graph)
+        small_graph.install_csr(fresh)
+        assert small_graph.csr() is fresh
+
+    def test_union_snapshot_is_assembled_from_its_sides(self, small_graph):
+        other = RDFGraph()
+        other.add(uri("a"), uri("p"), lit("z"))
+        union = combine(small_graph, other)
+        csr = union.csr()
+        assert small_graph.has_csr and other.has_csr
+        assert union.csr() is csr
+        assembled = CSRGraph.from_blocks(small_graph.csr(), other.csr())
+        assert list(csr.nodes) == list(union.nodes())
+        assert _arrays(csr) == _arrays(assembled)
+
+    def test_union_refuses_a_side_that_grew(self, small_graph):
+        union = combine(small_graph, RDFGraph())
+        small_graph.add(uri("late"), uri("p"), lit("y"))
+        with pytest.raises(GraphError, match="changed after the union"):
+            union.csr()
+
+    def test_from_blocks_reads_buffer_views(self, small_graph):
+        """Blocks attached from shared memory or an archive are NumPy
+        views; the stdlib assembly reads them like ``array('q')``."""
+        numpy = pytest.importorskip("numpy")
+        other = RDFGraph()
+        other.add(uri("a"), uri("p"), lit("z"))
+        other.add(blank("c"), uri("q"), uri("a"))
+
+        def viewed(block: CSRGraph) -> CSRGraph:
+            parts = []
+            for buffer in (block.out_offsets, block.out_predicates, block.out_objects):
+                view = numpy.frombuffer(buffer.tobytes(), dtype=numpy.int64)
+                assert not view.flags.writeable
+                parts.append(view)
+            return CSRGraph.from_parts(block.nodes, *parts)
+
+        first, second = CSRGraph(small_graph), CSRGraph(other)
+        plain = CSRGraph.from_blocks(first, second)
+        assert _arrays(CSRGraph.from_blocks(viewed(first), viewed(second))) == (
+            _arrays(plain)
+        )
+        empty = CSRGraph(RDFGraph())
+        assert _arrays(CSRGraph.from_blocks(viewed(empty), viewed(second))) == (
+            _arrays(second)
+        )

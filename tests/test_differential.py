@@ -128,7 +128,7 @@ class TestOracleTeeth:
 
     def _run_with(self, name, runner, **kwargs):
         register_method(
-            MethodSpec(name=name, runner=runner, baseline=True, uses_csr=False)
+            MethodSpec(name=name, runner=runner, baseline=True)
         )
         try:
             return run_differential(
@@ -152,7 +152,6 @@ class TestOracleTeeth:
                 name="broken_worker_probe",
                 runner=_worker_dependent_runner,
                 baseline=True,
-                uses_csr=False,
             )
         )
         try:

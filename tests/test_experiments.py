@@ -135,6 +135,31 @@ class TestFigure16:
     def test_sizes_reported(self, result):
         assert all(row["triples"] > 0 for row in result.rows)
 
+    @pytest.mark.parametrize("engine", ["reference", "dense"])
+    def test_overlap_column_times_the_configured_engine(self, engine, monkeypatch):
+        if engine == "dense":
+            pytest.importorskip("numpy")
+        from repro.align import AlignConfig
+        from repro.experiments.cells import method_timings_cell
+        from repro.experiments.store import VersionStore
+        from repro.similarity import dense_overlap
+
+        calls = []
+        loop = dense_overlap.dense_overlap_partition
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("base"))
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(dense_overlap, "dense_overlap_partition", spy)
+        store = VersionStore.shared("dbpedia", scale=0.2, seed=30, versions=6)
+        row = method_timings_cell(store, AlignConfig(engine=engine), 0)
+        assert row["overlap_s"] >= 0
+        # The dense column runs the dense loop over its own hybrid base;
+        # the reference column never enters it.
+        assert len(calls) == (engine == "dense")
+        assert all(base is not None for base in calls)
+
 
 class TestExtensions:
     @pytest.fixture(scope="class")

@@ -364,14 +364,6 @@ class TestSurface:
         with pytest.raises(ExperimentError):
             ksignature_partition(RDFGraph(), k=bad)
 
-    def test_csr_requires_dense_engine(self):
-        from repro.model.csr import CSRGraph
-
-        graph = RDFGraph()
-        graph.add(uri("a"), uri("p"), lit("x"))
-        with pytest.raises(ExperimentError):
-            ksignature_partition(graph, csr=CSRGraph(graph), engine="reference")
-
     @pytest.mark.parametrize("bad", [-1, 2.5, True])
     def test_config_k_validation(self, bad):
         with pytest.raises(ConfigError):

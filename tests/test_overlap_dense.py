@@ -305,30 +305,18 @@ class TestDenseOverlapParity:
             assert trace.weight_truncations == 0
             assert all(stats.engine == engine for stats in trace.weight_stats)
 
-    def test_csr_rejected_for_reference_engine(self):
-        from repro.core.hybrid import hybrid_partition
-        from repro.exceptions import ExperimentError
-        from repro.similarity.overlap_alignment import overlap_partition
-
-        source, target = mutation_workload(2)
-        union = combine(source, target)
-        csr = CSRGraph(union)
-        with pytest.raises(ExperimentError):
-            overlap_partition(union, csr=csr)  # engine defaults to reference
-        with pytest.raises(ExperimentError):
-            hybrid_partition(union, csr=csr)
-
     def test_shared_csr_snapshot_accepted(self):
         source, target = mutation_workload(2)
         union = combine(source, target)
-        csr = CSRGraph(union)
         interner = ColorInterner()
         from repro.core.hybrid import hybrid_partition
         from repro.similarity.overlap_alignment import overlap_partition
 
-        base = hybrid_partition(union, interner, engine="dense", csr=csr)
+        base = hybrid_partition(union, interner, engine="dense")
+        csr = union.csr()
         weighted = overlap_partition(
-            union, interner=interner, base=base, engine="dense", csr=csr
+            union, interner=interner, base=base, engine="dense"
         )
+        assert union.csr() is csr  # the base and every generation share it
         reference = overlap_partition(CombinedGraph(source, target))
         assert weighted.partition.equivalent_to(reference.partition)

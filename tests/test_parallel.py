@@ -39,7 +39,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.shm import list_segments, shm_available
 from repro.experiments.store import VersionStore
-from repro.model.csr import CSRGraph
 from repro.model.union import CombinedGraph, combine
 from repro.partition.interner import ColorInterner
 from repro.similarity.overlap_alignment import OverlapTrace, overlap_partition
@@ -67,9 +66,7 @@ def _triple_cell(store, config, item: int) -> int:
 
 
 def _deblank_ratio(union: CombinedGraph, engine: str) -> float:
-    csr = CSRGraph(union) if engine == "dense" else None
-    kwargs = {"csr": csr} if csr is not None else {}
-    partition = deblank_partition(union, ColorInterner(), engine=engine, **kwargs)
+    partition = deblank_partition(union, ColorInterner(), engine=engine)
     return aligned_edge_ratio(union, partition)
 
 
@@ -80,11 +77,10 @@ def _deblank_ratio_cell(store, config, pair: tuple[int, int]) -> float:
 
 def _overlap_trace_cell(store, config, pair: tuple[int, int]) -> tuple:
     union = CombinedGraph(store.graph(pair[0]), store.graph(pair[1]))
-    csr = CSRGraph(union) if config.engine == "dense" else None
     trace = OverlapTrace()
     weighted = overlap_partition(
         union, theta=0.65, interner=ColorInterner(), trace=trace,
-        engine=config.engine, csr=csr,
+        engine=config.engine,
     )
     return (
         trace.literal_matches,

@@ -35,7 +35,6 @@ from repro.experiments.cells import (
 )
 from repro.experiments.parallel import run_store_cells
 from repro.experiments.store import VersionStore
-from repro.model.csr import CSRGraph
 from repro.model.labels import Literal, URI
 from repro.model.rdf import BlankNode
 
@@ -147,8 +146,8 @@ class TestStoreRoundTrip:
         assert loaded.versions == store.versions
         assert loaded.backend is backend
         for version in range(store.versions):
-            original = store.csr_block(version)
-            reloaded = loaded.csr_block(version)
+            original = store.graph(version).csr()
+            reloaded = loaded.graph(version).csr()
             assert list(reloaded.nodes) == list(original.nodes)
             assert reloaded.out_offsets.tobytes() == original.out_offsets.tobytes()
             assert (
@@ -171,7 +170,7 @@ class TestStoreRoundTrip:
         loaded = VersionStore.load(backend)
         assert loaded.quarantined == []
         for version in range(loaded.versions):
-            assert loaded.csr_block(version).nodes == list(
+            assert loaded.graph(version).csr().nodes == list(
                 loaded.graph(version).nodes()
             )
         last = store.versions - 1
@@ -182,17 +181,6 @@ class TestStoreRoundTrip:
             assert run_store_cells(
                 loaded, cell, pairs, config=config, jobs=1
             ) == run_store_cells(fresh, cell, pairs, config=config, jobs=1)
-
-    def test_union_csr_refuses_a_block_in_another_node_order(self, store):
-        block = store.csr_block(0)
-        store._csr_blocks[0] = CSRGraph.from_parts(
-            block.nodes[::-1],
-            block.out_offsets,
-            block.out_predicates,
-            block.out_objects,
-        )
-        with pytest.raises(ExperimentError, match="graph's order"):
-            store.union_csr(0, 1)
 
     def test_memory_and_disk_agree_byte_for_byte(self, store, tmp_path):
         memory = MemoryBackend()
@@ -392,8 +380,8 @@ class TestCorruptionDetection:
         assert report(recovered) == report(clean)
         # The rebuilt block serves reads again (shape sanity only — node
         # ordering follows the re-parsed graph, not the original).
-        rebuilt = recovered.csr_block(0)
-        assert len(rebuilt.nodes) == len(store.csr_block(0).nodes)
+        rebuilt = recovered.graph(0).csr()
+        assert len(rebuilt.nodes) == len(store.graph(0).csr().nodes)
 
     def test_archive_with_dataclass_era_term_pickles_rebuilds(self, store, tmp_path):
         # An archive saved while terms were dataclasses holds pickles that

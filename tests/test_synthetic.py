@@ -234,7 +234,7 @@ class TestStoreIntegration:
         )
         assert store.versions == 3
         # Per-version artifacts and pairwise ground truth work unchanged.
-        assert store.csr_block(0).num_nodes > 0
+        assert store.graph(0).csr().num_nodes > 0
         assert len(store.ground_truth(0, 1)) > 0
         again = VersionStore.shared(
             "synthetic_scale_free", scale=1.0, seed=11, versions=3

@@ -211,14 +211,12 @@ class TestCellContext:
         generator, store = gtopdb
         union, _ = generator.combined(1, 2)
         interner = ColorInterner()
-        csr = CSRGraph(union) if engine == "dense" else None
         legacy = overlap_partition(
             union,
             theta=0.65,
             interner=interner,
-            base=hybrid_partition(union, interner, engine=engine, csr=csr),
+            base=hybrid_partition(union, interner, engine=engine),
             engine=engine,
-            csr=csr,
         )
         weighted, trace = store.overlap_result(
             1, 2, AlignConfig(theta=0.65, engine=engine)
@@ -230,7 +228,7 @@ class TestCellContext:
         generator, store = gtopdb
         union, _ = generator.combined(0, 1)
         direct = CSRGraph(union)
-        assembled = store.union_csr(0, 1)
+        assembled = store.union(0, 1).csr()
         assert assembled.nodes == direct.nodes
         assert list(assembled.out_offsets) == list(direct.out_offsets)
         for dense_id in range(direct.num_nodes):
@@ -264,8 +262,8 @@ class TestCaching:
         store = VersionStore(generator)
         first = store.summary(1)
         assert store.summary(1) is first
-        block = store.csr_block(1)
-        assert store.csr_block(1) is block
+        block = store.graph(1).csr()
+        assert store.graph(1).csr() is block
         tokens = store.edge_tokens(1, "deblank")
         assert store.edge_tokens(1, "deblank") is tokens
         union = store.union(0, 1)
@@ -275,8 +273,7 @@ class TestCaching:
         overlap = store.overlap_result(0, 1)
         assert store.overlap_result(0, 1) is overlap
         stats = store.cache_stats()
-        for kind in ("summary", "csr_block", "edge_tokens", "union", "context",
-                     "overlap"):
+        for kind in ("summary", "edge_tokens", "union", "context", "overlap"):
             hits, misses = stats[kind]
             assert hits >= 1, kind
             assert misses >= 1, kind
