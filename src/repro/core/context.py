@@ -21,16 +21,16 @@ between versions.  The trade-off is measured in the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import Collection, Hashable
 
 from ..model.graph import NodeId, OutPair, TripleGraph
 from ..model.union import CombinedGraph
 from ..partition.alignment import unaligned_non_literals
 from ..partition.coloring import Partition, label_partition
-from ..partition.interner import Color, ColorInterner
+from ..partition.interner import ColorInterner
 from .deblank import deblank_partition
 from .hybrid import blanked_partition
-from .refinement import check_interner_covers
+from .refinement import refine_to_fixpoint
 
 
 def in_neighborhood(graph: TripleGraph, node: NodeId) -> set[OutPair]:
@@ -64,43 +64,17 @@ def bidirectional_refine_fixpoint(
 ) -> Partition:
     """Refine until stable under *both* outbound and inbound signatures.
 
-    The recolor key is ``(λ(n), out-pairs, in-pairs)``; the fixpoint logic
-    mirrors :func:`repro.core.refinement.bisim_refine_fixpoint` (classes
-    only split, so stability is a class-count test).
+    :func:`~repro.core.refinement.refine_to_fixpoint` under the recolor
+    key ``(λ(n), out-pairs, in-pairs)``.
     """
-    if interner is None:
-        interner = ColorInterner()
-        partition = Partition(
-            {node: interner.intern(("seed", color)) for node, color in partition.items()}
-        )
-    else:
-        check_interner_covers(partition, interner)
-    nodes = list(subset) if subset is not None else list(graph.nodes())
     inbound = inbound_index(graph)
-    current = partition
-    current_classes = current.num_classes
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return current
-        updates: dict[NodeId, Color] = {}
-        for node in nodes:
-            out_colors = tuple(
-                sorted({(current[p], current[o]) for p, o in graph.out(node)})
-            )
-            in_colors = tuple(
-                sorted({(current[p], current[s]) for p, s in inbound[node]})
-            )
-            updates[node] = interner.intern(
-                ("bicolor", current[node], out_colors, in_colors)
-            )
-        refined = current.with_colors(updates)
-        refined_classes = refined.num_classes
-        rounds += 1
-        if refined_classes == current_classes:
-            return current
-        current = refined
-        current_classes = refined_classes
+
+    def bicolor_key(graph: TripleGraph, current: Partition, node: NodeId) -> Hashable:
+        out_colors = tuple(sorted({(current[p], current[o]) for p, o in graph.out(node)}))
+        in_colors = tuple(sorted({(current[p], current[s]) for p, s in inbound[node]}))
+        return ("bicolor", current[node], out_colors, in_colors)
+
+    return refine_to_fixpoint(graph, partition, subset, interner, bicolor_key, max_rounds)
 
 
 def bidirectional_bisimulation_partition(

@@ -31,7 +31,7 @@ from ..exceptions import PartitionError
 from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition
 from ..partition.interner import Color, ColorInterner
-from .refinement import check_interner_covers
+from .refinement import check_interner_covers, reseed_partition
 
 #: Per-call epoch for split colors.  Fixpoint maintenance reuses one
 #: interner across a whole version chain; without the epoch the key
@@ -72,10 +72,7 @@ def incremental_refine_fixpoint(
     if interner is None:
         # Re-seed foreign colors into a fresh interner so that the split
         # colors minted below can never collide with them.
-        interner = ColorInterner()
-        partition = Partition(
-            {node: interner.intern(("seed", color)) for node, color in partition.items()}
-        )
+        partition, interner = reseed_partition(partition)
     else:
         check_interner_covers(partition, interner)
     colors: dict[NodeId, Color] = partition.as_dict()

@@ -13,17 +13,17 @@ entities on ``name`` while tolerating edited ``comment`` fields.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Hashable, Iterable
 
 from ..model.graph import NodeId, TripleGraph
 from ..model.labels import URI
 from ..model.union import CombinedGraph
 from ..partition.alignment import unaligned_non_literals
 from ..partition.coloring import Partition
-from ..partition.interner import Color, ColorInterner
+from ..partition.interner import ColorInterner
 from .deblank import deblank_partition
 from .hybrid import blanked_partition
-from .refinement import check_interner_covers
+from .refinement import refine_to_fixpoint
 
 #: Decides whether an outbound pair participates in a node's key.
 PairFilter = Callable[[TripleGraph, NodeId, NodeId], bool]
@@ -52,34 +52,21 @@ def keyed_refine_fixpoint(
     key: PairFilter,
     max_rounds: int | None = None,
 ) -> Partition:
-    """Refinement whose recolor keys see only key-selected outbound pairs."""
-    check_interner_covers(partition, interner)
-    nodes = list(subset)
-    current = partition
-    current_classes = current.num_classes
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return current
-        updates: dict[NodeId, Color] = {}
-        for node in nodes:
-            pair_colors = tuple(
-                sorted(
-                    {
-                        (current[predicate], current[obj])
-                        for predicate, obj in graph.out(node)
-                        if key(graph, predicate, obj)
-                    }
-                )
-            )
-            updates[node] = interner.intern(("keyed", current[node], pair_colors))
-        refined = current.with_colors(updates)
-        refined_classes = refined.num_classes
-        rounds += 1
-        if refined_classes == current_classes:
-            return current
-        current = refined
-        current_classes = refined_classes
+    """Refinement whose recolor keys see only key-selected outbound pairs.
+
+    :func:`~repro.core.refinement.refine_to_fixpoint` under the key
+    ``("keyed", λ(n), {(λ(p), λ(o)) | (p, o) ∈ out_G(n), key(p, o)})``.
+    """
+
+    def keyed_key(graph: TripleGraph, current: Partition, node: NodeId) -> Hashable:
+        pair_colors = {
+            (current[predicate], current[obj])
+            for predicate, obj in graph.out(node)
+            if key(graph, predicate, obj)
+        }
+        return ("keyed", current[node], tuple(sorted(pair_colors)))
+
+    return refine_to_fixpoint(graph, partition, subset, interner, keyed_key, max_rounds)
 
 
 def keyed_hybrid_partition(

@@ -53,7 +53,7 @@ from ..model.graph import NodeId, TripleGraph
 from ..partition.coloring import Partition, label_partition
 from ..partition.interner import ColorInterner
 from .dense import as_int64, recolor_payloads, resolve_refine_engine
-from .refinement import check_interner_covers
+from .refinement import FixpointStats, check_interner_covers
 
 #: A signature hasher: payload bytes -> non-negative int (63 bits used).
 SignatureHasher = Callable[[bytes], int]
@@ -90,27 +90,17 @@ def signature_digest(payload: bytes) -> bytes:
 
 
 @dataclass
-class SignatureStats:
+class SignatureStats(FixpointStats):
     """Per-run diagnostics of one k-signature refinement.
 
-    Mirrors :class:`~repro.core.refinement.FixpointStats` and adds the
-    bound ``k`` plus the per-round class counts (``class_counts[r]`` is
-    the number of classes after executed round ``r + 1``).
+    :class:`~repro.core.refinement.FixpointStats` plus the bound ``k`` and
+    the per-round class counts (``class_counts[r]`` is the number of
+    classes after executed round ``r + 1``).  ``converged`` is ``True``
+    iff the partition stabilized before exhausting ``k`` rounds — the
+    result then *is* the full ``BisimRefine*`` fixpoint restricted to the
+    subset.  ``engine`` names the payload engine.
     """
 
-    #: Signature rounds actually executed (including a final unproductive
-    #: round that merely confirms early stabilization).
-    rounds: int = 0
-    #: True iff the partition stabilized before exhausting ``k`` rounds —
-    #: the result then *is* the full ``BisimRefine*`` fixpoint restricted
-    #: to the subset.
-    converged: bool = False
-    #: Class count of the initial partition.
-    initial_classes: int = 0
-    #: Class count of the returned partition.
-    final_classes: int = 0
-    #: Payload engine that produced the result ("reference" or "dense").
-    engine: str = "reference"
     #: The round bound the run was configured with.
     k: int = 0
     #: Class count after each executed round.

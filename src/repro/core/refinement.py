@@ -8,9 +8,19 @@ equation (1):
 
 ``BisimRefine_X`` applies ``recolor`` to the nodes of a chosen subset ``X``
 only (equation (2)); iterating it to a fixpoint yields ``BisimRefine*_X``
-(Definition 4).  Because the new color embeds the old one, every step is
-*finer* than the last, so classes only ever split and the fixpoint test
-reduces to "did the number of classes stop growing?".
+(Definition 4).  :func:`refine_to_fixpoint` is the one reference loop of
+that iteration; full bisimulation, the trace, the Section 6 keyed and
+context-aware variants and the store's joint quotient refinement differ
+only in the recolor key they hand it.
+
+Its stop test assumes that classes only ever split (the new color embeds
+the old one), so that "the class count stopped growing" means "stable".
+That is false for a subset refined against a shared interner: a recolored
+node can take a color used outside the subset, a split and a merge cancel,
+and an unrefined iterate is returned (a known wrong answer, see
+ROADMAP.md).  Three functions still rely on the assumption:
+:func:`refine_to_fixpoint`, :func:`repro.core.dense.refine_colors` and
+:func:`repro.core.ksignature.ksignature_rounds`.
 
 Colors are hash-consed through :class:`~repro.partition.interner.ColorInterner`,
 which is the paper's "simple hashing technique": the derivation tree of a
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Collection
+from typing import Any, Callable, Collection, Hashable
 
 from ..exceptions import PartitionError
 from ..model.graph import NodeId, TripleGraph
@@ -174,26 +184,30 @@ def bisim_refine_step(
     return partition.with_colors(updates)
 
 
-def bisim_refine_fixpoint(
-    graph: TripleGraph,
+#: ``key(graph, current, node)``: the color key of *node* after *current*.
+RecolorKey = Callable[[Any, Partition, NodeId], Hashable]
+
+
+def refine_to_fixpoint(
+    graph: Any,
     partition: Partition,
-    subset: Collection[NodeId] | None = None,
-    interner: ColorInterner | None = None,
+    subset: Collection[NodeId] | None,
+    interner: ColorInterner | None,
+    key: RecolorKey,
     max_rounds: int | None = None,
     stats: FixpointStats | None = None,
+    iterates: list[Partition] | None = None,
 ) -> Partition:
-    """``BisimRefine*_X(λ)``: iterate until the partition stabilizes.
+    """``BisimRefine*`` under the recolor key *key*: the reference loop.
 
-    *subset* defaults to all nodes (full bisimulation).  The fixpoint test
-    exploits monotonicity: each step is finer than the last, hence the
-    partitions are equivalent iff their class counts agree.
-
-    *max_rounds* bounds the iteration for diagnostics; the natural bound is
-    the number of nodes (each productive round adds at least one class).
-    **Truncation is not silent**: when the bound cuts the iteration before
-    stabilization the returned partition is only an intermediate refinement
-    (finer than the input, coarser than the fixpoint), a warning is logged,
-    and ``stats.converged`` (pass a :class:`FixpointStats`) is ``False``.
+    Each round recolors every node of *subset* (default: ``graph.nodes()``)
+    at once to ``interner.intern(key(graph, current, node))``, and the loop
+    returns the last iterate before a round that leaves the class count
+    unchanged.  *graph* is whatever *key* reads.  Without an *interner* the
+    partition is reseeded (:func:`reseed_partition`); a supplied one must
+    cover it (:func:`check_interner_covers`).  A *max_rounds* cut logs a
+    warning and leaves ``stats.converged`` ``False``.  *iterates*, when
+    given, receives every iterate, the initial partition first.
     """
     if interner is None:
         partition, interner = reseed_partition(partition)
@@ -202,31 +216,57 @@ def bisim_refine_fixpoint(
     if stats is None:
         stats = FixpointStats()
     stats.engine = "reference"
-    stats.initial_classes = partition.num_classes
+    stats.initial_classes = current_classes = partition.num_classes
     nodes = list(subset) if subset is not None else list(graph.nodes())
+    intern = interner.intern
     current = partition
-    current_classes = current.num_classes
+    if iterates is not None:
+        iterates.append(current)
     rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            stats.rounds = rounds
-            stats.converged = False
-            stats.final_classes = current_classes
-            _warn_truncated(stats, max_rounds)
-            return current
-        refined = bisim_refine_step(graph, current, nodes, interner)
+    converged = False
+    while max_rounds is None or rounds < max_rounds:
+        refined = current.with_colors(
+            {node: intern(key(graph, current, node)) for node in nodes}
+        )
         refined_classes = refined.num_classes
         rounds += 1
         if refined_classes == current_classes:
             # Equivalent partition: the step was a pure recoloring, so the
-            # previous iterate already was the fixpoint (Definition 4 returns
-            # Λ^n(λ) for the minimal n with Λ^n(λ) ≡ Λ^{n+1}(λ)).
-            stats.rounds = rounds
-            stats.converged = True
-            stats.final_classes = current_classes
-            return current
+            # previous iterate already was the fixpoint.
+            converged = True
+            break
         current = refined
         current_classes = refined_classes
+        if iterates is not None:
+            iterates.append(current)
+    stats.rounds = rounds
+    stats.converged = converged
+    stats.final_classes = current_classes
+    if not converged:
+        _warn_truncated(stats, max_rounds)
+    return current
+
+
+def bisim_refine_fixpoint(
+    graph: TripleGraph,
+    partition: Partition,
+    subset: Collection[NodeId] | None = None,
+    interner: ColorInterner | None = None,
+    max_rounds: int | None = None,
+    stats: FixpointStats | None = None,
+) -> Partition:
+    """``BisimRefine*_X(λ)``: :func:`refine_to_fixpoint` under :func:`recolor_key`.
+
+    *subset* defaults to all nodes (full bisimulation).  *max_rounds*
+    bounds the iteration for diagnostics; the natural bound is the number
+    of nodes.  **Truncation is not silent**: the returned partition is then
+    only an intermediate refinement (finer than the input, coarser than
+    the fixpoint), a warning is logged, and ``stats.converged`` (pass a
+    :class:`FixpointStats`) is ``False``.
+    """
+    return refine_to_fixpoint(
+        graph, partition, subset, interner, recolor_key, max_rounds, stats
+    )
 
 
 def refinement_trace(
@@ -241,15 +281,6 @@ def refinement_trace(
     Used by the paper-walkthrough example to reproduce Figure 4's
     round-by-round derivation trees.
     """
-    if interner is None:
-        partition, interner = reseed_partition(partition)
-    else:
-        check_interner_covers(partition, interner)
-    nodes = list(subset) if subset is not None else list(graph.nodes())
-    trace = [partition]
-    for _ in range(max_rounds):
-        refined = bisim_refine_step(graph, trace[-1], nodes, interner)
-        if refined.num_classes == trace[-1].num_classes:
-            return trace
-        trace.append(refined)
+    trace: list[Partition] = []
+    refine_to_fixpoint(graph, partition, subset, interner, recolor_key, max_rounds, iterates=trace)
     return trace

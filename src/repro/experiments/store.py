@@ -45,7 +45,7 @@ from typing import Callable, Hashable, Sequence
 
 from ..align.config import AlignConfig
 from ..core.hybrid import hybrid_partition
-from ..core.refinement import bisim_refine_fixpoint
+from ..core.refinement import bisim_refine_fixpoint, refine_to_fixpoint
 from ..datasets import registry as _registry
 from ..datasets.dbpedia import DBpediaCategoryGenerator
 from ..datasets.efo import EFOGenerator
@@ -163,54 +163,39 @@ def joint_quotient_colors(
     Returns one color per class and side; two classes (of either side)
     receive the same color iff their members would share a class in the
     deblanking partition of the disjoint union.  This is plain
-    ``BisimRefine*`` run on the quotient structures: sound because every
-    summary class is behaviorally exact, and cheap because the quotients
-    have one node per *class*, not per blank.
+    ``BisimRefine*`` (:func:`~repro.core.refinement.refine_to_fixpoint`)
+    run on the quotient structures: sound because every summary class is
+    behaviorally exact, and cheap because the quotients have one node per
+    *class*, not per blank: *first*'s classes, then *second*'s, all
+    starting at the blank color.
     """
     interner = ColorInterner()
     bottom = interner.blank_color()
-    sides = (first, second)
-    colors: list[list[int]] = [[bottom] * side.num_classes for side in sides]
     if not (first.class_pairs or second.class_pairs):
         return [], []
+    split = first.num_classes
+    # Per quotient node: the node id of its side's class 0, its out-pairs.
+    quotient = [(0, pairs) for pairs in first.class_pairs]
+    quotient += [(split, pairs) for pairs in second.class_pairs]
+    label_color = interner.label_color
 
-    def resolve(tok: Token, current: list[int]) -> int:
-        if tok[0] == "b":
-            return current[tok[1]]
-        return interner.label_color(tok[1])
-
-    def distinct(state: list[list[int]]) -> int:
-        return len({color for side in state for color in side})
-
-    count = distinct(colors)
-    while True:
-        refined: list[list[int]] = []
-        for slot, side in enumerate(sides):
-            current = colors[slot]
-            refined.append(
-                [
-                    interner.recolor(
-                        current[cid],
-                        tuple(
-                            sorted(
-                                {
-                                    (resolve(p, current), resolve(o, current))
-                                    for p, o in side.class_pairs[cid]
-                                }
-                            )
-                        ),
-                    )
-                    for cid in range(side.num_classes)
-                ]
+    def key(quotient: list, current: Partition, q: int) -> Hashable:
+        shift, pairs = quotient[q]
+        colors = {
+            (
+                current[shift + p[1]] if p[0] == "b" else label_color(p[1]),
+                current[shift + o[1]] if o[0] == "b" else label_color(o[1]),
             )
-        refined_count = distinct(refined)
-        if refined_count == count:
-            # The step was a pure recoloring: the previous iterate already
-            # was the fixpoint (Definition 4), exactly as in
-            # ``bisim_refine_fixpoint``.
-            return colors[0], colors[1]
-        colors = refined
-        count = refined_count
+            for p, o in pairs
+        }
+        return ("recolor", current[q], tuple(sorted(colors)))
+
+    nodes = range(len(quotient))
+    fixpoint = refine_to_fixpoint(
+        quotient, Partition(dict.fromkeys(nodes, bottom)), nodes, interner, key
+    )
+    colors = list(fixpoint.values())  # a Partition keeps its nodes' order
+    return colors[:split], colors[split:]
 
 
 def compose_deblank_partition(

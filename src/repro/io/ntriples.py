@@ -69,6 +69,8 @@ _REVERSE_ESCAPES = {
     "\t": "\\t",
 }
 
+_IRI_ESCAPES = str.maketrans({">": "\\u003E", "\\": "\\u005C", "\n": "\\u000A"})
+
 
 class _EscapeScanner:
     """Backslash-escape decoding, shared by the N-Triples and Turtle scanners.
@@ -327,10 +329,18 @@ def _escape_literal(value: str) -> str:
     return "".join(_REVERSE_ESCAPES.get(char, char) for char in value)
 
 
+def escape_iri(value: str) -> str:
+    """*value* with ``>``, backslash and newline as ``\\u`` escapes: raw,
+    they would end the IRI, start an escape or break the line."""
+    if ">" in value or "\\" in value or "\n" in value:
+        return value.translate(_IRI_ESCAPES)
+    return value
+
+
 def format_term(term: Term) -> str:
     """Render one term in N-Triples syntax."""
     if isinstance(term, URI):
-        return f"<{term.value}>"
+        return f"<{escape_iri(term.value)}>"
     if isinstance(term, BlankNode):
         return f"_:{term.name}"
     if isinstance(term, Literal):
@@ -338,7 +348,7 @@ def format_term(term: Term) -> str:
         if term.language is not None:
             rendered += f"@{term.language}"
         elif term.datatype is not None:
-            rendered += f"^^<{term.datatype}>"
+            rendered += f"^^<{escape_iri(term.datatype)}>"
         return rendered
     raise TypeError(f"not an RDF term: {term!r}")
 

@@ -31,7 +31,7 @@ from ..exceptions import ParseError
 from ..model.labels import Literal, URI
 from ..model.namespaces import RDF
 from ..model.rdf import BlankNode, RDFGraph, Term
-from .ntriples import _escape_literal, _EscapeScanner
+from .ntriples import _escape_literal, _EscapeScanner, escape_iri
 
 _RDF_TYPE = RDF["type"]
 
@@ -40,9 +40,10 @@ def _compact(term: URI, prefixes: Mapping[str, str]) -> str:
     for prefix, base in prefixes.items():
         if term.value.startswith(base):
             local = term.value[len(base):]
-            if local and all(c.isalnum() or c in "-_." for c in local):
+            # Not ``ex:a.``: that reads as ``ex:a`` and the terminator.
+            if local[-1:] not in ("", ".") and all(c.isalnum() or c in "-_." for c in local):
                 return f"{prefix}:{local}"
-    return f"<{term.value}>"
+    return f"<{escape_iri(term.value)}>"
 
 
 def _format(term: Term, prefixes: Mapping[str, str]) -> str:
@@ -187,6 +188,20 @@ class _Scanner(_EscapeScanner):
             self.pos -= 1
         return name
 
+    def read_blank_label(self, position: str) -> str:
+        """The label after ``_:``.  Its trailing dots end the statement, as in
+        ``_:b.``, except where no terminator can stand (after a subject, or
+        before ``.``, ``,`` or ``;``): the writer's ``_:b. ex:p _:c. .``."""
+        name, start, line = self.read_name(), self.pos, self.line
+        while self.peek() == ".":
+            self.pos += 1
+        end = self.pos
+        self.skip_space()
+        if position != "subject" and self.peek() not in (".", ",", ";"):
+            end = start
+        self.pos, self.line = end, line
+        return name + self.text[start:end]
+
     def read_quoted(self) -> str:
         self.expect('"')
         chunks: list[str] = []
@@ -315,7 +330,7 @@ class _TurtleParser:
         if char == "_":
             scanner.expect("_")
             scanner.expect(":")
-            name = scanner.read_name()
+            name = scanner.read_blank_label(position)
             if not name:
                 raise scanner.error("empty blank node label")
             if position == "predicate":

@@ -27,7 +27,7 @@ sides' snapshots by :meth:`CSRGraph.from_blocks`.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import GraphError, PartitionError
 from .graph import NodeId, TripleGraph
@@ -52,9 +52,9 @@ class CSRGraph:
 
     def __init__(self, graph: TripleGraph) -> None:
         #: Dense id -> original node identifier (graph iteration order).
-        self.nodes: list[NodeId] = list(graph.nodes())
+        self.nodes: Sequence[NodeId] = list(graph.nodes())
         #: Original node identifier -> dense id.
-        self.index: dict[NodeId, int] = {
+        self.index: Mapping[NodeId, int] = {
             node: i for i, node in enumerate(self.nodes)
         }
         index = self.index
@@ -246,13 +246,14 @@ class CSRGraph:
         and shared by every pair touching it.  The blocks are read through
         the buffer protocol (``array('q')``, NumPy views over shared
         memory, read-only memmaps) with the standard library alone: the
-        reference engine's k-signature runs read this snapshot too.
+        reference engine's k-signature runs read this snapshot too.  Its
+        node table and index are the identity on ``range(n1 + n2)``.
         """
         snapshot = cls.__new__(cls)
         offset = source.num_nodes
         count = offset + target.num_nodes
-        snapshot.nodes = list(range(count))
-        snapshot.index = dict(zip(snapshot.nodes, range(count)))
+        snapshot.nodes = range(count)
+        snapshot.index = _IdentityIndex(count)
         pairs = int(source.out_offsets[-1])  # a NumPy view yields numpy ints
         snapshot.out_offsets = _concat_shifted(
             source.out_offsets, _int64s(target.out_offsets)[1:], pairs
@@ -264,6 +265,25 @@ class CSRGraph:
             source.out_objects, _int64s(target.out_objects), offset
         )
         return snapshot
+
+
+class _IdentityIndex(Mapping[int, int]):
+    """A union snapshot's ``index``: each id of ``0 .. size-1`` to itself.
+    Anything else is missing, so :meth:`CSRGraph.dense_id` refuses it."""
+
+    def __init__(self, size: int) -> None:
+        self._ids = range(size)
+
+    def __getitem__(self, node: int) -> int:
+        if type(node) is int and node in self._ids:
+            return node
+        raise KeyError(node)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 def _int64s(buffer: array) -> memoryview:

@@ -106,10 +106,6 @@ class ColorInterner:
         """The neutral blank color ``⊥`` (hybrid alignment's reset color)."""
         return self.intern(BLANK_KEY)
 
-    def recolor(self, current: Color, out_pairs: tuple[tuple[Color, Color], ...]) -> Color:
-        """The color of one refinement step (paper equation (1))."""
-        return self.intern(("recolor", current, out_pairs))
-
     def component_color(self, generation: int, index: int) -> Color:
         """A fresh color for an enrichment component."""
         return self.intern(("component", generation, index))

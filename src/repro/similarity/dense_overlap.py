@@ -40,7 +40,6 @@ from ..core.dense import as_int64, refine_colors
 from ..core.dense_weights import dense_weight_fixpoint
 from ..core.refinement import WeightFixpointStats
 from ..model.csr import CSRGraph
-from ..model.graph import NodeId
 from ..model.union import CombinedGraph
 from ..oplus import OplusOperator, oplus, oplus_sum
 from ..partition.coloring import Partition
@@ -187,9 +186,8 @@ class _NonLiteralRound:
         start, end = self._csr.out_slice(dense)
         return self._codes[start:end].tolist()
 
-    def characterize(self, node: NodeId) -> frozenset[int]:
+    def characterize(self, dense: int) -> frozenset[int]:
         """``out-color_ξ(n)`` as packed integer codes."""
-        dense = self._csr.index[node]
         chars = self._chars.get(dense)
         if chars is None:
             chars = self._chars[dense] = frozenset(self._code_slice(dense))
@@ -218,11 +216,8 @@ class _NonLiteralRound:
         self._groups[dense] = groups
         return groups
 
-    def distance(self, source: NodeId, target: NodeId) -> float:
+    def distance(self, source_dense: int, target_dense: int) -> float:
         """``σ^NL_ξ`` — same coupling rule as the reference closure."""
-        index = self._csr.index
-        source_dense = index[source]
-        target_dense = index[target]
         normalizer = max(
             self._csr.out_degree(source_dense), self._csr.out_degree(target_dense)
         )
@@ -278,20 +273,20 @@ def dense_overlap_partition(
         base = hybrid_partition(graph, interner, engine="dense")
     csr = graph.csr()
 
+    # Union ids are the snapshot's dense ids, so they index the buffers.
     nodes = csr.nodes
-    index = csr.index
     colors = csr.gather_colors(base.as_dict())
     weights = [0.0] * csr.num_nodes
-    split = graph.num_source_nodes  # union ids are the snapshot's dense ids
-    is_source = [dense < split for dense in range(csr.num_nodes)]
+    split = graph.num_source_nodes
+    is_source = [dense < split for dense in nodes]
     is_literal = [graph.is_literal_node(node) for node in nodes]
     tracker = AlignmentTracker(colors, is_source)
 
     # Lines 2–4: the literal round (characterizer and distance read node
     # labels only, so they are shared with the reference engine).
     close_pairs = overlap_match(
-        {nodes[i] for i in tracker.unaligned_source if is_literal[i]},
-        {nodes[i] for i in tracker.unaligned_target if is_literal[i]},
+        {i for i in tracker.unaligned_source if is_literal[i]},
+        {i for i in tracker.unaligned_target if is_literal[i]},
         theta,
         literal_characterizer(graph, splitter),
         literal_distance(graph),
@@ -310,13 +305,12 @@ def dense_overlap_partition(
             ):
                 color = interner.component_color(generation, component_index)
                 for node in component:
-                    dense = index[node]
-                    colors[dense] = color
-                    tracker.recolor(dense, color)
+                    colors[node] = color
+                    tracker.recolor(node, color)
                 for node, weight in component_weights(
                     close_pairs, component
                 ).items():
-                    weights[index[node]] = weight
+                    weights[node] = weight
         # Propagate: blank the unaligned non-literals, refine their
         # colors, Jacobi-iterate their weights.
         subset = sorted(
@@ -342,8 +336,8 @@ def dense_overlap_partition(
         # Rediscover close pairs among the remaining unaligned nodes.
         round_view = _NonLiteralRound(csr, colors, weights, operator)
         close_pairs = overlap_match(
-            {nodes[i] for i in tracker.unaligned_source if not is_literal[i]},
-            {nodes[i] for i in tracker.unaligned_target if not is_literal[i]},
+            {i for i in tracker.unaligned_source if not is_literal[i]},
+            {i for i in tracker.unaligned_target if not is_literal[i]},
             theta,
             round_view.characterize,
             round_view.distance,

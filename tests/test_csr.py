@@ -165,6 +165,27 @@ class TestGraphOwnsSnapshot:
         assert list(csr.nodes) == list(union.nodes())
         assert _arrays(csr) == _arrays(assembled)
 
+    def test_union_snapshot_tables_are_the_identity(self, small_graph):
+        """Union ids are dense ids: the snapshot answers ``nodes[i]`` and
+        ``index[i]`` without a list or dict per node, and still refuses
+        anything that is not one of its ids."""
+        other = RDFGraph()
+        other.add(uri("a"), uri("p"), lit("z"))
+        union = combine(small_graph, other)
+        csr = union.csr()
+        n = union.num_nodes
+        assert csr.nodes == range(n) and csr.num_nodes == n
+        assert not isinstance(csr.index, dict) and len(csr.index) == n
+        assert list(csr.index.items()) == [(i, i) for i in range(n)]
+        assert csr.dense_ids(reversed(range(n))) == list(reversed(range(n)))
+        assert subset_mask(csr, {n - 1, 0}) == [0, n - 1]
+        for bad in (True, -1, n, "x", 1.0, uri("a")):
+            assert bad not in csr.index
+            with pytest.raises(GraphError):
+                csr.dense_id(bad)
+            with pytest.raises(GraphError):
+                csr.dense_ids([0, bad])
+
     def test_union_refuses_a_side_that_grew(self, small_graph):
         union = combine(small_graph, RDFGraph())
         small_graph.add(uri("late"), uri("p"), lit("y"))

@@ -40,8 +40,6 @@ class TestInterner:
         assert interner.blank_color() == interner.intern(BLANK_KEY)
         assert interner.label_color(URI("a")) == interner.intern(("label", URI("a")))
         assert interner.node_color("n") == interner.intern(("node", "n"))
-        first = interner.recolor(0, ((1, 2),))
-        assert first == interner.recolor(0, ((1, 2),))
         assert interner.component_color(1, 0) != interner.component_color(2, 0)
 
     def test_repr(self):

@@ -379,7 +379,7 @@ class TestFastPath:
         }
 
 
-_URI_VALUES = st.text(_ANY_CHAR.filter(lambda char: char not in ">\\\n"), max_size=8)
+_URI_VALUES = st.text(_ANY_CHAR, max_size=8)
 _DRAWN_URIS = st.builds(uri, _URI_VALUES)
 _DRAWN_BLANKS = st.builds(
     blank,

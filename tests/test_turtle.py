@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ParseError
 from repro.io import load_graph, ntriples, sniff_format, turtle
 from repro.model import RDFGraph, blank, lit, uri
-from repro.model.namespaces import RDF
+from repro.model.graph import isomorphic_by_labels
+from repro.model.namespaces import RDF, XSD
 
 
 def sample() -> RDFGraph:
@@ -19,6 +20,18 @@ def sample() -> RDFGraph:
     g.add(uri("http://ex/a"), uri("http://ex/q"), blank("b"))
     g.add(blank("b"), uri("http://ex/p"), lit("5", datatype="http://www.w3.org/2001/XMLSchema#integer"))
     return g
+
+
+#: Hand-written documents the reader accepts (the fuzz mutates them too).
+LISTS_AND_COMMENTS = """
+            @prefix ex: <http://ex/> .
+            # a comment
+            ex:a ex:p "one", "two" ;
+                a ex:Thing .
+            _:z ex:q <http://abs/iri> .
+            """
+BASE = "@base <http://ex/> .\n<a> <p> <http://other/x> .\n"
+SPARQL_STYLE = "PREFIX ex: <http://ex/>\nex:a ex:p ex:b .\n"
 
 
 class TestTurtleWriter:
@@ -78,15 +91,7 @@ class TestTurtleReader:
         assert set(back.triples()) == set(g.triples())
 
     def test_object_lists_and_comments(self):
-        graph = turtle.loads(
-            """
-            @prefix ex: <http://ex/> .
-            # a comment
-            ex:a ex:p "one", "two" ;
-                a ex:Thing .
-            _:z ex:q <http://abs/iri> .
-            """
-        )
+        graph = turtle.loads(LISTS_AND_COMMENTS)
         triples = set(graph.triples())
         assert (uri("http://ex/a"), uri("http://ex/p"), lit("one")) in triples
         assert (uri("http://ex/a"), uri("http://ex/p"), lit("two")) in triples
@@ -94,16 +99,12 @@ class TestTurtleReader:
         assert (blank("z"), uri("http://ex/q"), uri("http://abs/iri")) in triples
 
     def test_base_resolution(self):
-        graph = turtle.loads(
-            "@base <http://ex/> .\n<a> <p> <http://other/x> .\n"
-        )
+        graph = turtle.loads(BASE)
         triples = set(graph.triples())
         assert (uri("http://ex/a"), uri("http://ex/p"), uri("http://other/x")) in triples
 
     def test_sparql_style_directives(self):
-        graph = turtle.loads(
-            "PREFIX ex: <http://ex/>\nex:a ex:p ex:b .\n"
-        )
+        graph = turtle.loads(SPARQL_STYLE)
         assert (uri("http://ex/a"), uri("http://ex/p"), uri("http://ex/b")) in set(
             graph.triples()
         )
@@ -136,49 +137,50 @@ class TestTurtleReader:
             turtle.loads('<http://ex/a> "p" <http://ex/b> .')
 
 
+#: Documents the reader must refuse; they also seed the whole-document fuzz.
+MALFORMED = [
+    # -- malformed prefix directives -------------------------------
+    "@prefix ex <http://ex/> .",            # missing colon
+    "@prefix ex: \"not-an-iri\" .",          # IRI expected
+    "@prefix ex: <http://ex/>",              # missing final dot
+    "@prefixes ex: <http://ex/> .",          # unknown directive
+    "@base <http://ex/>",                    # missing final dot
+    # -- IRIs and names --------------------------------------------
+    "<http://ex/a <http://ex/p> <http://ex/o> .",   # unterminated IRI
+    "<http://ex/a> <http://ex/p> ??? .",            # junk token
+    # -- literals --------------------------------------------------
+    '<http://ex/a> <http://ex/p> "oops .',          # unterminated
+    '<http://ex/a> <http://ex/p> "bad\nbreak" .',   # raw newline
+    '<http://ex/a> <http://ex/p> "dangling\\',      # dangling escape
+    '<http://ex/a> <http://ex/p> "bad \\q escape" .',
+    '<http://ex/a> <http://ex/p> "bad \\uZZZZ" .',  # bad unicode
+    '<http://ex/a> <http://ex/p> "x"@ .',           # empty language
+    '"subject" <http://ex/p> <http://ex/o> .',      # literal subject
+    # -- blank nodes -----------------------------------------------
+    "_: <http://ex/p> <http://ex/o> .",             # empty label
+    "<http://ex/a> _:p <http://ex/o> .",            # blank predicate
+    # -- unsupported container syntax ------------------------------
+    "<http://ex/a> <http://ex/p> ( 1 2 ) .",        # collection
+    "<http://ex/a> <http://ex/p> [ ] .",            # anonymous blank
+    # -- statement structure ---------------------------------------
+    "<http://ex/a> <http://ex/p> <http://ex/o>",    # missing dot
+    "<http://ex/a> <http://ex/p> .",                # missing object
+    # -- unicode escapes: exactly 4/8 hex digits, at most U+10FFFF --
+    '<s> <p> "a\\UFFFFFFFF" .',                    # out of range
+    '<s> <p> "a\\u-123" .',                        # sign
+    "<s> <p> <o\\u-123> .",                        # sign, in an IRI
+    '<s> <p> "a\\u0x12" .',                        # 0x prefix
+    '<s> <p> "a\\u+123" .',                        # sign
+    '<s> <p> "a\\U0000_041" .',                    # digit separator
+]
+
+
 class TestReaderErrorPaths:
     """Malformed input must fail loudly with a ParseError, never parse
     wrongly or crash with an unrelated exception (the PR-4 reader only
     had happy-path coverage)."""
 
-    @pytest.mark.parametrize(
-        "document",
-        [
-            # -- malformed prefix directives -------------------------------
-            "@prefix ex <http://ex/> .",            # missing colon
-            "@prefix ex: \"not-an-iri\" .",          # IRI expected
-            "@prefix ex: <http://ex/>",              # missing final dot
-            "@prefixes ex: <http://ex/> .",          # unknown directive
-            "@base <http://ex/>",                    # missing final dot
-            # -- IRIs and names --------------------------------------------
-            "<http://ex/a <http://ex/p> <http://ex/o> .",   # unterminated IRI
-            "<http://ex/a> <http://ex/p> ??? .",            # junk token
-            # -- literals --------------------------------------------------
-            '<http://ex/a> <http://ex/p> "oops .',          # unterminated
-            '<http://ex/a> <http://ex/p> "bad\nbreak" .',   # raw newline
-            '<http://ex/a> <http://ex/p> "dangling\\',      # dangling escape
-            '<http://ex/a> <http://ex/p> "bad \\q escape" .',
-            '<http://ex/a> <http://ex/p> "bad \\uZZZZ" .',  # bad unicode
-            '<http://ex/a> <http://ex/p> "x"@ .',           # empty language
-            '"subject" <http://ex/p> <http://ex/o> .',      # literal subject
-            # -- blank nodes -----------------------------------------------
-            "_: <http://ex/p> <http://ex/o> .",             # empty label
-            "<http://ex/a> _:p <http://ex/o> .",            # blank predicate
-            # -- unsupported container syntax ------------------------------
-            "<http://ex/a> <http://ex/p> ( 1 2 ) .",        # collection
-            "<http://ex/a> <http://ex/p> [ ] .",            # anonymous blank
-            # -- statement structure ---------------------------------------
-            "<http://ex/a> <http://ex/p> <http://ex/o>",    # missing dot
-            "<http://ex/a> <http://ex/p> .",                # missing object
-            # -- unicode escapes: exactly 4/8 hex digits, at most U+10FFFF --
-            '<s> <p> "a\\UFFFFFFFF" .',                    # out of range
-            '<s> <p> "a\\u-123" .',                        # sign
-            "<s> <p> <o\\u-123> .",                        # sign, in an IRI
-            '<s> <p> "a\\u0x12" .',                        # 0x prefix
-            '<s> <p> "a\\u+123" .',                        # sign
-            '<s> <p> "a\\U0000_041" .',                    # digit separator
-        ],
-    )
+    @pytest.mark.parametrize("document", MALFORMED)
     def test_malformed_documents_rejected(self, document):
         with pytest.raises(ParseError):
             turtle.loads(document)
@@ -284,3 +286,134 @@ class TestLoadGraph:
             paths["nt"], paths["ttl"]
         )
         assert result.unaligned_counts() == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Whole documents: drawn round trips and byte-mutation fuzz
+# ----------------------------------------------------------------------
+_PREFIXES = {"ex": "http://ex/", "xsd": XSD.prefix}
+_CHAR = st.characters(blacklist_categories=("Cs",))
+#: IRIs the writer can compact (names under ``ex:``, some ending in dots),
+#: rdf:type, and arbitrary IRIs it must write in full.
+_IRIS = st.one_of(
+    st.builds("http://ex/".__add__, st.text(st.sampled_from("ab09-_. #é"), max_size=5)),
+    st.just(RDF["type"].value),
+    st.text(st.one_of(st.sampled_from(">\\\n<"), _CHAR), max_size=8),
+)
+_URIS = st.builds(uri, _IRIS)
+_BLANKS = st.builds(
+    blank,
+    st.text(_CHAR.filter(lambda char: char.isalnum() or char in "-_."), min_size=1, max_size=4),
+)
+#: Literal text leans on the characters the writer must escape.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\'#.;,<>@^'), _CHAR), max_size=8)
+_LITERALS = st.one_of(
+    st.builds(lit, _TEXT),
+    st.builds(
+        lit,
+        _TEXT,
+        language=st.from_regex(r"[a-zA-Z]{1,3}(-[a-zA-Z0-9]{1,3})?", fullmatch=True),
+    ),
+    st.builds(lit, _TEXT, datatype=_IRIS),
+)
+_TRIPLES = st.lists(
+    st.tuples(st.one_of(_URIS, _BLANKS), _URIS, st.one_of(_URIS, _BLANKS, _LITERALS)),
+    max_size=8,
+)
+
+
+def _graph(triples) -> RDFGraph:
+    graph = RDFGraph()
+    graph.add_all(triples)
+    return graph
+
+
+class TestDrawnRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(triples=_TRIPLES, prefixes=st.sampled_from([None, _PREFIXES]))
+    def test_dumps_then_loads_round_trips(self, triples, prefixes):
+        graph = _graph(triples)
+        back = turtle.loads(turtle.dumps(graph, prefixes))
+        assert isomorphic_by_labels(back, graph)
+        via_ntriples = ntriples.loads(ntriples.dumps(graph))
+        assert set(back.triples()) == set(via_ntriples.triples())
+        assert set(back.labels().items()) == set(via_ntriples.labels().items())
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (uri("http://ex/a."), uri("http://ex/p"), uri("http://ex/o")),
+            (uri("http://ex/s"), uri("http://ex/p"), uri("http://ex/a.")),
+            (uri("http://ex/s"), uri("http://ex/p"), lit("x", datatype="http://ex/t.")),
+            (blank("b."), uri("http://ex/p"), uri("http://ex/o")),
+            (uri("http://ex/s"), uri("http://ex/p"), blank("b.")),
+            (blank("."), uri("http://ex/p"), blank("..")),
+        ],
+        ids=["subject", "object", "datatype", "blank-subject", "blank-object", "blank-dots"],
+    )
+    def test_names_ending_in_a_dot(self, triple):
+        """Turtle reads ``ex:a.`` and ``_:b.`` as a name before the
+        terminator; a name that ends in a dot must survive the round trip."""
+        graph = _graph([triple, (uri("http://ex/s"), uri("http://ex/q"), lit("z"))])
+        for prefixes in (None, _PREFIXES):
+            back = turtle.loads(turtle.dumps(graph, prefixes))
+            assert set(back.triples()) == set(graph.triples())
+
+    @pytest.mark.parametrize("value", ["a>b", "a\\b", "a\nb", "a\\u0041"])
+    def test_iris_holding_reader_delimiters(self, value):
+        """``>``, a backslash and a newline cannot stand raw in an IRI."""
+        graph = _graph([(uri(value), uri("http://ex/p"), lit("x", datatype=value))])
+        for writer in (turtle, ntriples):
+            assert set(writer.loads(writer.dumps(graph)).triples()) == set(graph.triples())
+
+    def test_a_dot_after_a_blank_object_still_terminates(self):
+        graph = turtle.loads("<s> <p> _:b.\n<s> <q> _:c.")
+        assert set(graph.triples()) == {
+            (uri("s"), uri("p"), blank("b")),
+            (uri("s"), uri("q"), blank("c")),
+        }
+
+
+@st.composite
+def _mutated_documents(draw) -> str:
+    """A valid document with a few of its UTF-8 bytes deleted, inserted or
+    replaced, decoded back with U+FFFD for broken sequences."""
+    seed = draw(
+        st.one_of(
+            st.sampled_from(
+                [LISTS_AND_COMMENTS, BASE, SPARQL_STYLE, *MALFORMED,
+                 turtle.dumps(sample(), _PREFIXES)]
+            ),
+            st.builds(
+                lambda triples, prefixes: turtle.dumps(_graph(triples), prefixes),
+                _TRIPLES,
+                st.sampled_from([None, _PREFIXES]),
+            ),
+        )
+    )
+    data = bytearray(seed.encode("utf-8"))
+    byte = st.one_of(st.sampled_from(list(b'<>"_:.,;@^\\#()[] \t\r\naA')), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 4))):
+        index = draw(st.integers(0, len(data)))
+        operation = draw(st.sampled_from("dirt"))
+        if operation == "i":
+            data.insert(index, draw(byte))
+        elif operation == "t":  # cut the document short
+            del data[index:]
+        elif index < len(data):
+            if operation == "d":
+                del data[index]
+            else:
+                data[index] = draw(byte)
+    return data.decode("utf-8", errors="replace")
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_mutated_documents())
+    def test_loads_returns_a_graph_or_raises_parse_error(self, text):
+        try:
+            graph = turtle.loads(text)
+        except ParseError:
+            return
+        assert isinstance(graph, RDFGraph)

@@ -229,7 +229,7 @@ class TestCellContext:
         union, _ = generator.combined(0, 1)
         direct = CSRGraph(union)
         assembled = store.union(0, 1).csr()
-        assert assembled.nodes == direct.nodes
+        assert list(assembled.nodes) == direct.nodes
         assert list(assembled.out_offsets) == list(direct.out_offsets)
         for dense_id in range(direct.num_nodes):
             start, end = direct.out_slice(dense_id)
