@@ -15,6 +15,18 @@ rendered as the ``repr`` of their identifier in their own version (for
 :class:`~repro.model.rdf.RDFGraph` inputs that is the term itself, e.g.
 ``URI('uoe')`` or ``_:b4``), and every sequence is sorted — two runs that
 align the same nodes produce byte-identical JSON.
+
+The pair list is written class by class.  A partition-induced alignment
+has the crossover property (paper Section 3.1), so it is one biclique per
+matched class, and
+:meth:`~repro.partition.alignment.PartitionAlignment.sorted_pairs` lists
+it in rendered order from one sort of the matched targets by class and
+one of the matched sources: no pair is sorted and no container per pair
+or per class is built.  :meth:`AlignmentReport.to_json` encodes the rows
+one string at a time with the encoder ``json.dumps`` uses and splices
+them between the small fields, so its bytes are those of
+``json.dumps(report.to_dict(), indent=indent, sort_keys=True)`` without
+building that payload.
 """
 
 from __future__ import annotations
@@ -22,7 +34,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from json.encoder import encode_basestring_ascii as _encode_string
+from typing import TYPE_CHECKING, Callable, Sequence, cast
 
 from ..exceptions import ReportError, UnknownMethodError
 
@@ -88,24 +101,17 @@ class AlignmentReport:
         """
         graph = result.graph
         alignment = result.alignment
-        # Each node's term is rendered once, however many pairs hold it.
-        rendered: dict[NodeId, str] = {}
-
-        def render(node: "NodeId") -> str:
-            text = rendered.get(node)
-            if text is None:
-                text = rendered[node] = repr(graph.original(node))
-            return text
-
+        # Every node is either paired or unaligned, so each union id
+        # (``0 .. n-1``) is rendered exactly once, up front.
+        render = cast(
+            "Callable[[NodeId], str]",
+            [repr(graph.original(node)) for node in range(graph.num_nodes)].__getitem__,
+        )
         pairs = tuple(
-            sorted((render(s), render(t)) for s, t in alignment.pairs())
+            (render(s), render(t)) for s, t in alignment.sorted_pairs(render)
         )
-        unaligned_source = tuple(
-            sorted(render(n) for n in alignment.unaligned_source())
-        )
-        unaligned_target = tuple(
-            sorted(render(n) for n in alignment.unaligned_target())
-        )
+        unaligned_source = tuple(sorted(map(render, alignment.unaligned_source())))
+        unaligned_target = tuple(sorted(map(render, alignment.unaligned_target())))
         stats = {
             "matched_entities": alignment.matched_class_count(),
             "pair_count": len(pairs),
@@ -155,26 +161,62 @@ class AlignmentReport:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """The JSON payload (plain lists/dicts, schema markers included)."""
-        payload = {
+    def _head(self) -> dict:
+        """Every payload field except the three row lists."""
+        head = {
             "schema": SCHEMA,
             "version": self.version,
             "method": self.method,
             "engine": self.engine,
             "parameters": dict(self.parameters),
             "stats": dict(self.stats),
-            "pairs": [list(pair) for pair in self.pairs],
-            "unaligned_source": list(self.unaligned_source),
-            "unaligned_target": list(self.unaligned_target),
         }
         if self.diagnostics is not None:
-            payload["diagnostics"] = dict(self.diagnostics)
+            head["diagnostics"] = dict(self.diagnostics)
+        return head
+
+    def to_dict(self) -> dict:
+        """The JSON payload (plain lists/dicts, schema markers included)."""
+        payload = self._head()
+        payload["pairs"] = [list(pair) for pair in self.pairs]
+        payload["unaligned_source"] = list(self.unaligned_source)
+        payload["unaligned_target"] = list(self.unaligned_target)
         return payload
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """Deterministic JSON: sorted keys, stable sequence order."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self, indent: int | str | None = 2) -> str:
+        """Deterministic JSON: sorted keys, stable sequence order.
+
+        The bytes of ``json.dumps(self.to_dict(), indent=indent,
+        sort_keys=True)``, written without building the payload: the rows
+        are encoded one string at a time and spliced in.
+        """
+        return self._encode(_indent_text(indent), 0)
+
+    def _encode(self, indent: str | None, level: int) -> str:
+        """This report as ``json.dumps`` writes it *level* deep."""
+        comma, newline = _layout(indent)
+        outer, inner, row, cell = (newline(level + depth) for depth in range(4))
+        fields = {
+            key: _dumps_at(value, indent, level + 1)
+            for key, value in self._head().items()
+        }
+        pair_separator = comma + cell
+        fields["pairs"] = _rows(
+            [
+                f"[{cell}{_encode_string(source)}{pair_separator}"
+                f"{_encode_string(target)}{row}]"
+                for source, target in self.pairs
+            ],
+            comma, inner, row,
+        )
+        for key in ("unaligned_source", "unaligned_target"):
+            fields[key] = _rows(
+                list(map(_encode_string, getattr(self, key))), comma, inner, row
+            )
+        body = (comma + inner).join(
+            f"{_encode_string(key)}: {fields[key]}" for key in sorted(fields)
+        )
+        return f"{{{inner}{body}{outer}}}"
 
     @staticmethod
     def validate(payload: object) -> list[str]:
@@ -282,3 +324,49 @@ class AlignmentReport:
                 for key in sorted(set(self.stats) | set(other.stats))
             },
         }
+
+
+def reports_to_json(reports: "Sequence[AlignmentReport]") -> str:
+    """A list of reports as ``json.dumps([r.to_dict() for r in reports],
+    indent=2, sort_keys=True)`` writes it, through the row encoder."""
+    comma, newline = _layout("  ")
+    return _rows(
+        [report._encode("  ", 1) for report in reports],
+        comma, newline(0), newline(1),
+    )
+
+
+def _indent_text(indent: int | str | None) -> str | None:
+    """The indent string ``json.dumps`` makes of its *indent* argument."""
+    if indent is None or isinstance(indent, str):
+        return indent
+    return " " * indent
+
+
+def _dumps_at(value: object, indent: str | None, depth: int) -> str:
+    """``json.dumps(value, indent=indent, sort_keys=True)`` as it reads
+    *depth* levels into a document.
+
+    ``json.dumps`` escapes every control character inside strings, so a
+    NUL in its output can only be indent: the value is rendered with NUL
+    as the indent, every line is shifted *depth* levels, and only then
+    does the real indent go in, whatever characters it holds.
+    """
+    if indent is None:
+        return json.dumps(value, sort_keys=True)
+    text = json.dumps(value, indent="\0", sort_keys=True)
+    return text.replace("\n", "\n" + "\0" * depth).replace("\0", indent)
+
+
+def _layout(indent: str | None) -> tuple[str, Callable[[int], str]]:
+    """``json.dumps``'s item separator and line break at a nesting depth."""
+    if indent is None:
+        return ", ", lambda depth: ""
+    return ",", lambda depth: "\n" + indent * depth
+
+
+def _rows(items: list[str], comma: str, outer: str, inner: str) -> str:
+    """Encoded *items* as a JSON array whose items sit at *inner*."""
+    if not items:
+        return "[]"
+    return f"[{inner}{(comma + inner).join(items)}{outer}]"

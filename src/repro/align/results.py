@@ -18,7 +18,7 @@ runner may return either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..model.graph import NodeId
 from ..model.union import CombinedGraph
@@ -104,6 +104,22 @@ class PairAlignment:
 
     def pairs(self) -> Iterator[tuple[NodeId, NodeId]]:
         return iter(self._pairs)
+
+    def sorted_pairs(
+        self, key: Callable[[NodeId], Any]
+    ) -> Iterator[tuple[NodeId, NodeId]]:
+        """Every pair, ordered by ``(key(source), key(target))``.
+
+        *key* is called once per paired node.  A pair set need not be
+        crossover-closed, so unlike
+        :meth:`~repro.partition.alignment.PartitionAlignment.sorted_pairs`
+        this sorts the pairs themselves.
+        """
+        nodes = self._matched_source | self._matched_target
+        keys = {node: key(node) for node in nodes}
+        return iter(
+            sorted(self._pairs, key=lambda pair: (keys[pair[0]], keys[pair[1]]))
+        )
 
     def pair_count(self) -> int:
         return len(self._pairs)

@@ -325,10 +325,8 @@ def _command_align(args: argparse.Namespace) -> int:
                 )
             # Sorted on the rendered nodes: node ids follow input order.
             graph = result.graph
-            pairs = list(result.alignment.pairs())
-            keys = {node: graph.sort_key(node) for pair in pairs for node in pair}
-            for source_node, target_node in sorted(
-                pairs, key=lambda pair: (keys[pair[0]], keys[pair[1]])
+            for source_node, target_node in result.alignment.sorted_pairs(
+                graph.sort_key
             ):
                 source_term = graph.original(source_node)
                 target_term = graph.original(target_node)
@@ -342,12 +340,10 @@ def _command_align(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
     if args.report:
         if chain:
-            import json
+            from .align.report import reports_to_json
 
-            payload = [result.report(config).to_dict() for result in results]
-            atomic_write_text(
-                args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            reports = [result.report(config) for result in results]
+            atomic_write_text(args.report, reports_to_json(reports) + "\n")
         else:
             results[0].report(config).save(args.report)
         print(f"wrote report to {args.report}")

@@ -67,7 +67,9 @@ def dumps(graph: RDFGraph, prefixes: Mapping[str, str] | None = None) -> str:
     *prefixes* maps prefix names to base URIs, e.g. ``{"rdf": RDF.prefix}``.
     """
     prefixes = dict(prefixes or {})
-    lines = [f"@prefix {name}: <{base}> ." for name, base in sorted(prefixes.items())]
+    lines = [
+        f"@prefix {name}: <{escape_iri(base)}> ." for name, base in sorted(prefixes.items())
+    ]
     if lines:
         lines.append("")
 

@@ -29,13 +29,19 @@ work on exactly those nodes.
   :meth:`~PartitionAlignment.partners` call, and cached, so
   ``partners()`` is O(1) after its first call;
 * :meth:`~PartitionAlignment.pairs` walks per-color member lists of the
-  matched classes only.
+  matched classes only;
+* :meth:`~PartitionAlignment.sorted_pairs` lists the pairs in key order
+  with no sort over pairs: by the crossover property ``Align(λ)`` is one
+  biclique per matched class, so one sort puts each class's targets in a
+  contiguous run and every source, in key order, emits its class's run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain, groupby, islice, repeat
+from operator import eq
+from typing import Any, Callable, Iterator
 
 from ..exceptions import AlignmentError
 from ..model.graph import NodeId
@@ -156,6 +162,64 @@ class PartitionAlignment:
             for source_node in source:
                 for target_node in target:
                     yield source_node, target_node
+
+    def sorted_pairs(
+        self, key: Callable[[NodeId], Any]
+    ) -> Iterator[tuple[NodeId, NodeId]]:
+        """Every aligned pair, ordered by ``(key(source), key(target))``.
+
+        *key* is called once per matched node.  The matched targets are
+        sorted once by ``(color, key)``, so each class's targets form one
+        contiguous run, and the matched sources once by key; each source
+        then emits its class's run.  Sources with equal keys (distinct ids
+        may share a rendering, e.g. two ``float('nan')`` nodes) have their
+        runs merged, so equal keys never break the order.  No container
+        is built per pair or per class.
+        """
+        target_counts = self._target_counts
+        matched_colors = self._source_counts.keys() & target_counts.keys()
+        matched = {
+            node: color
+            for node, color in self._partition.items()
+            if color in matched_colors
+        }
+        keys = {node: key(node) for node in matched}
+        split = self._graph.num_source_nodes
+        sources = [node for node in matched if node < split]
+        targets = [node for node in matched if node >= split]
+        sources.sort(key=keys.__getitem__)
+        # Two stable sorts, by key and then by color, leave each class's
+        # targets one run in key order.  Walking the runs backwards, the
+        # last write per color is its run's first index.
+        targets.sort(key=keys.__getitem__)
+        targets.sort(key=matched.__getitem__)
+        starts = dict(
+            zip(map(matched.__getitem__, reversed(targets)),
+                range(len(targets) - 1, -1, -1))
+        )
+
+        def emit(batch: list[NodeId]) -> Iterator[tuple[NodeId, NodeId]]:
+            """Each source of *batch* paired with its class's run, in turn."""
+            colors = [matched[source] for source in batch]
+            counts = [target_counts[color] for color in colors]
+            return zip(
+                chain.from_iterable(
+                    repeat(source, count) for source, count in zip(batch, counts)
+                ),
+                chain.from_iterable(
+                    targets[starts[color]:starts[color] + count]
+                    for color, count in zip(colors, counts)
+                ),
+            )
+
+        source_keys = list(map(keys.__getitem__, sources))
+        if not any(map(eq, source_keys, islice(source_keys, 1, None))):
+            return emit(sources)
+        # Some sources share a key: merge their runs by target key.
+        return chain.from_iterable(
+            sorted(emit(list(equal)), key=lambda pair: keys[pair[1]])
+            for _, equal in groupby(sources, keys.__getitem__)
+        )
 
     # -- counting ----------------------------------------------------------
     def pair_count(self) -> int:

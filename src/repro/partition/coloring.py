@@ -117,7 +117,16 @@ class Partition(Mapping[NodeId, Color]):
         """A new partition with some nodes recolored."""
         colors = dict(self._colors)
         colors.update(updates)
-        return Partition(colors)
+        return Partition._adopt(colors)
+
+    @classmethod
+    def _adopt(cls, colors: dict[NodeId, Color]) -> "Partition":
+        """A partition over *colors* itself, not a copy: for a dict the
+        caller has just built and never touches again."""
+        partition = cls.__new__(cls)
+        partition._colors = colors
+        partition._classes = None
+        return partition
 
     def as_dict(self) -> dict[NodeId, Color]:
         """A mutable copy of the underlying coloring."""

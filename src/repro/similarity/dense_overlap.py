@@ -36,6 +36,8 @@ counts; ``tests/test_overlap_dense.py`` asserts the parity and
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..core.dense import as_int64, refine_colors
 from ..core.dense_weights import dense_weight_fixpoint
 from ..core.refinement import WeightFixpointStats
@@ -63,41 +65,58 @@ class AlignmentTracker:
     the per-side unaligned node sets — with a counting pass over the
     whole partition plus one pass per side: cheap, but O(N) in every
     generation.  This tracker spares the dense loop that per-generation
-    scan by keeping the same information incrementally: every color
-    maps to its source-side and target-side member sets, and the two
+    scan by keeping the same information incrementally, and the two
     unaligned sets are updated exactly when a recoloring changes them.
     A single :meth:`recolor` costs O(1) except when it flips a color's
     matched status, in which case the members of the opposite side move
     in or out of their unaligned set — work proportional to the real
     alignment change, not to the graph.
 
+    A color's members on one side form a doubly linked list threaded
+    through two flat arrays indexed by dense id, and each side maps a
+    color to its list's first member.  Most colors have a single member,
+    so the tracker keeps no container per color: a container per color
+    is tens of thousands of objects that the cyclic GC would walk.
+
     Members are dense node ids; ``unaligned_source``/``unaligned_target``
     are live sets (treat as read-only).
     """
 
     __slots__ = (
-        "_colors", "_is_source", "_source_members", "_target_members",
-        "unaligned_source", "unaligned_target",
+        "_colors", "_is_source", "_source_heads", "_target_heads",
+        "_next", "_prev", "unaligned_source", "unaligned_target",
     )
 
     def __init__(self, colors: list[int], is_source: list[bool]) -> None:
         self._colors = list(colors)
         self._is_source = is_source
-        self._source_members: dict[int, set[int]] = {}
-        self._target_members: dict[int, set[int]] = {}
+        following = self._next = [-1] * len(self._colors)
+        preceding = self._prev = [-1] * len(self._colors)
+        self._source_heads: dict[int, int] = {}
+        self._target_heads: dict[int, int] = {}
         for dense, color in enumerate(self._colors):
-            members = (
-                self._source_members if is_source[dense] else self._target_members
-            )
-            members.setdefault(color, set()).add(dense)
+            heads = self._source_heads if is_source[dense] else self._target_heads
+            first = heads.get(color, -1)
+            if first >= 0:
+                preceding[first] = dense
+            following[dense] = first
+            heads[color] = dense
         self.unaligned_source: set[int] = set()
         self.unaligned_target: set[int] = set()
-        for color, members in self._source_members.items():
-            if color not in self._target_members:
-                self.unaligned_source.update(members)
-        for color, members in self._target_members.items():
-            if color not in self._source_members:
-                self.unaligned_target.update(members)
+        for heads, opposite, unaligned in (
+            (self._source_heads, self._target_heads, self.unaligned_source),
+            (self._target_heads, self._source_heads, self.unaligned_target),
+        ):
+            for color, first in heads.items():
+                if color not in opposite:
+                    unaligned.update(self._members(first))
+
+    def _members(self, first: int) -> Iterator[int]:
+        """The list that starts at *first*: one color's members on one side."""
+        following = self._next
+        while first >= 0:
+            yield first
+            first = following[first]
 
     def color(self, dense: int) -> int:
         return self._colors[dense]
@@ -109,34 +128,44 @@ class AlignmentTracker:
             return
         self._colors[dense] = new_color
         if self._is_source[dense]:
-            own, opposite = self._source_members, self._target_members
+            own, opposite = self._source_heads, self._target_heads
             own_unaligned, opposite_unaligned = (
                 self.unaligned_source, self.unaligned_target
             )
         else:
-            own, opposite = self._target_members, self._source_members
+            own, opposite = self._target_heads, self._source_heads
             own_unaligned, opposite_unaligned = (
                 self.unaligned_target, self.unaligned_source
             )
-        old_members = own[old_color]
-        old_members.discard(dense)
-        if not old_members:
+        following, preceding = self._next, self._prev
+        # Unlink *dense* from the old color's list.
+        before, after = preceding[dense], following[dense]
+        if after >= 0:
+            preceding[after] = before
+        if before >= 0:
+            following[before] = after
+        elif after >= 0:
+            own[old_color] = after
+        else:
             del own[old_color]
-            orphaned = opposite.get(old_color)
-            if orphaned:
+            orphaned = opposite.get(old_color, -1)
+            if orphaned >= 0:
                 # The old color lost its last node on this side: whatever
                 # the other side still keeps there is now unaligned.
-                opposite_unaligned.update(orphaned)
-        new_members = own.get(new_color)
-        adopted = opposite.get(new_color)
-        if new_members is None:
-            new_members = own[new_color] = set()
-            if adopted:
-                # First node of this side under the new color: the other
-                # side's members there just became aligned.
-                opposite_unaligned.difference_update(adopted)
-        new_members.add(dense)
-        if adopted:
+                opposite_unaligned.update(self._members(orphaned))
+        # Link it in front of the new color's list.
+        first = own.get(new_color, -1)
+        adopted = opposite.get(new_color, -1)
+        if first >= 0:
+            preceding[first] = dense
+        elif adopted >= 0:
+            # First node of this side under the new color: the other
+            # side's members there just became aligned.
+            opposite_unaligned.difference_update(self._members(adopted))
+        own[new_color] = dense
+        following[dense] = first
+        preceding[dense] = -1
+        if adopted >= 0:
             own_unaligned.discard(dense)
         else:
             own_unaligned.add(dense)

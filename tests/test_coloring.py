@@ -37,6 +37,18 @@ class TestPartitionBasics:
         q = p.with_colors({"b": 5})
         assert p["b"] == 0 and q["b"] == 5
 
+    def test_with_colors_child_shares_no_dict(self):
+        updates = {"b": 5, "c": 7}
+        p = Partition({"a": 0, "b": 0})
+        q = p.with_colors(updates)
+        assert dict(p.items()) == {"a": 0, "b": 0}
+        assert dict(q.items()) == {"a": 0, "b": 5, "c": 7}
+        assert q._colors is not p._colors and q._colors is not updates
+        updates["a"] = 9
+        assert p["a"] == 0 and q["a"] == 0
+        r = q.with_colors({"a": 1})
+        assert q["a"] == 0 and r["a"] == 1 and r._colors is not q._colors
+
     def test_as_dict_copy(self):
         p = Partition({"a": 0})
         d = p.as_dict()

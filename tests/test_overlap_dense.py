@@ -191,23 +191,44 @@ class TestAlignmentTracker:
         }
         return unaligned_source, unaligned_target
 
+    @classmethod
+    def recolor_randomly(cls, rng, size, initial, palette):
+        """Check the tracker after each of 300 random recolorings; return
+        the ``(is_source, members before, members after)`` class changes."""
+        colors = [rng.randrange(initial) for _ in range(size)]
+        is_source = [rng.random() < 0.5 for _ in range(size)]
+        tracker = AlignmentTracker(colors, is_source)
+        expected = cls.brute_force(colors, is_source)
+        assert (tracker.unaligned_source, tracker.unaligned_target) == expected
+        changes = set()
+        for _ in range(300):
+            node = rng.randrange(size)
+            new_color = rng.randrange(palette)
+            if colors[node] != new_color:
+                side = is_source[node]
+                for color, delta in ((colors[node], -1), (new_color, 1)):
+                    members = sum(
+                        c == color and s == side for c, s in zip(colors, is_source)
+                    )
+                    changes.add((side, members, members + delta))
+            colors[node] = new_color
+            tracker.recolor(node, new_color)
+            expected = cls.brute_force(colors, is_source)
+            assert tracker.unaligned_source == expected[0]
+            assert tracker.unaligned_target == expected[1]
+        return changes
+
     @pytest.mark.parametrize("seed", [0, 5, 18])
     def test_matches_brute_force_under_random_recoloring(self, seed):
         rng = random.Random(seed)
-        size = 60
-        colors = [rng.randrange(8) for _ in range(size)]
-        is_source = [rng.random() < 0.5 for _ in range(size)]
-        tracker = AlignmentTracker(colors, is_source)
-        expected = self.brute_force(colors, is_source)
-        assert (tracker.unaligned_source, tracker.unaligned_target) == expected
-        for _ in range(300):
-            node = rng.randrange(size)
-            new_color = rng.randrange(12)
-            colors[node] = new_color
-            tracker.recolor(node, new_color)
-            expected = self.brute_force(colors, is_source)
-            assert tracker.unaligned_source == expected[0]
-            assert tracker.unaligned_target == expected[1]
+        self.recolor_randomly(rng, size=60, initial=8, palette=12)
+        # Over 2-3 colors, classes go from 0 to 1 to 2 members, back to 1
+        # and to 0, on both sides.
+        changes = set()
+        for palette in (2, 3):
+            changes |= self.recolor_randomly(rng, size=6, initial=palette, palette=palette)
+        for side in (True, False):
+            assert {(side, 0, 1), (side, 1, 2), (side, 2, 1), (side, 1, 0)} <= changes
 
     def test_matches_partition_alignment_on_real_graph(self):
         source, target = mutation_workload(4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.exceptions import ParseError
 from repro.io import load_graph, ntriples, sniff_format, turtle
 from repro.model import RDFGraph, blank, lit, uri
 from repro.model.graph import isomorphic_by_labels
+from repro.model.labels import URI
 from repro.model.namespaces import RDF, XSD
 
 
@@ -71,7 +74,7 @@ class TestTurtleWriter:
         g = RDFGraph()
         g.add(uri("http://ex/a b"), uri("http://ex/p"), lit("x"))
         out = turtle.dumps(g, {"ex": "http://ex/"})
-        assert "<http://ex/a b>" in out
+        assert "<http://ex/a\\u0020b>" in out
 
 
 class TestTurtleReader:
@@ -293,12 +296,17 @@ class TestLoadGraph:
 # ----------------------------------------------------------------------
 _PREFIXES = {"ex": "http://ex/", "xsd": XSD.prefix}
 _CHAR = st.characters(blacklist_categories=("Cs",))
-#: IRIs the writer can compact (names under ``ex:``, some ending in dots),
-#: rdf:type, and arbitrary IRIs it must write in full.
+#: Every character IRIREF forbids: the writers must escape each of them.
+_IRI_FORBIDDEN = [chr(code) for code in range(0x21)] + list('<>"{}|^`\\')
+#: A prefix base holding forbidden characters: its directive escapes them.
+_ODD_BASE = "http://o d/" + "".join(_IRI_FORBIDDEN[-9:]) + "\n\t/"
+#: IRIs the writer can compact (names under ``ex:`` and the odd base, some
+#: ending in dots), rdf:type, and arbitrary IRIs it must write in full.
 _IRIS = st.one_of(
     st.builds("http://ex/".__add__, st.text(st.sampled_from("ab09-_. #é"), max_size=5)),
+    st.builds(_ODD_BASE.__add__, st.text(st.sampled_from("ab-_."), max_size=3)),
     st.just(RDF["type"].value),
-    st.text(st.one_of(st.sampled_from(">\\\n<"), _CHAR), max_size=8),
+    st.text(st.one_of(st.sampled_from(_IRI_FORBIDDEN), _CHAR), max_size=8),
 )
 _URIS = st.builds(uri, _IRIS)
 _BLANKS = st.builds(
@@ -330,14 +338,26 @@ def _graph(triples) -> RDFGraph:
 
 class TestDrawnRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(triples=_TRIPLES, prefixes=st.sampled_from([None, _PREFIXES]))
+    @given(
+        triples=_TRIPLES,
+        prefixes=st.sampled_from([None, _PREFIXES, {**_PREFIXES, "odd": _ODD_BASE}]),
+    )
     def test_dumps_then_loads_round_trips(self, triples, prefixes):
         graph = _graph(triples)
-        back = turtle.loads(turtle.dumps(graph, prefixes))
+        document = turtle.dumps(graph, prefixes)
+        back = turtle.loads(document)
         assert isomorphic_by_labels(back, graph)
         via_ntriples = ntriples.loads(ntriples.dumps(graph))
         assert set(back.triples()) == set(via_ntriples.triples())
         assert set(back.labels().items()) == set(via_ntriples.labels().items())
+        for term in {term for triple in triples for term in triple}:
+            iri = term.value if isinstance(term, URI) else getattr(term, "datatype", None)
+            if iri is not None:
+                # Outside its escapes, a written IRI holds no forbidden character.
+                unescaped = re.sub(r"\\u[0-9A-F]{4}", "", ntriples.escape_iri(iri))
+                assert not set(unescaped) & set(_IRI_FORBIDDEN)
+        for directive in re.findall(r"^@prefix \S+: <(.*)> \.$", document, re.M):
+            assert not set(re.sub(r"\\u[0-9A-F]{4}", "", directive)) & set(_IRI_FORBIDDEN)
 
     @pytest.mark.parametrize(
         "triple",
@@ -365,6 +385,16 @@ class TestDrawnRoundTrip:
         graph = _graph([(uri(value), uri("http://ex/p"), lit("x", datatype=value))])
         for writer in (turtle, ntriples):
             assert set(writer.loads(writer.dumps(graph)).triples()) == set(graph.triples())
+
+    def test_prefix_base_holding_forbidden_characters(self):
+        graph = _graph([(uri(_ODD_BASE + "s"), uri("http://ex/p"), uri(_ODD_BASE + "o"))])
+        document = turtle.dumps(graph, {"odd": _ODD_BASE})
+        assert document.startswith(
+            "@prefix odd: <http://o\\u0020d/\\u003C\\u003E\\u0022\\u007B\\u007D"
+            "\\u007C\\u005E\\u0060\\u005C\\u000A\\u0009/> .\n"
+        )
+        assert "odd:s" in document
+        assert set(turtle.loads(document).triples()) == set(graph.triples())
 
     def test_a_dot_after_a_blank_object_still_terminates(self):
         graph = turtle.loads("<s> <p> _:b.\n<s> <q> _:c.")
