@@ -63,7 +63,7 @@ class AlignConfig:
         Worker processes for batch/experiment execution (``0`` = one per
         CPU, ``1`` = serial).  Never affects results, only wall-clock.
     k:
-        Round bound of the hash-signature k-bisimulation family
+        Round bound of the k-bisimulation family
         (``kbisim``/``kbisim_deblank``): the partition refines for at
         most ``k`` rounds, stopping early once it stabilizes.  ``k=0``
         is the label partition; any ``k`` at or above the graph's

@@ -132,8 +132,8 @@ def _overlap_runner(
 
 
 # ----------------------------------------------------------------------
-# The k-bisimulation hash-signature family (Rau et al., and full bisim as
-# its k→∞ anchor).  These refine over *all* nodes, so unlike the paper's
+# The k-bisimulation family (Rau et al., and full bisim as its k→∞
+# anchor).  These refine over *all* nodes, so unlike the paper's
 # four operators they may split label-equal URIs (label_floor=False).
 # ----------------------------------------------------------------------
 def _bisim_runner(
@@ -152,37 +152,17 @@ def _signature_family(
     context: MethodContext,
     subset: Collection[NodeId] | None,
 ) -> AlignmentResult:
-    """Shared runner body of ``kbisim``/``kbisim_deblank``.
-
-    ``config.jobs != 1`` routes signature hashing through the per-node
-    shm shard pool, which runs serially where the platform (or a pool
-    worker) cannot host it; the pooled and serial paths are
-    byte-identical by construction (same payloads, same hash, same
-    interning order), so jobs never affects the result.
-    """
+    """Shared runner body of ``kbisim``/``kbisim_deblank``."""
     interner = ColorInterner()
     stats = SignatureStats()
-    if config.jobs != 1:
-        from ..experiments.ksig_shard import pooled_ksignature_partition
-
-        partition = pooled_ksignature_partition(
-            graph,
-            interner,
-            k=config.k,
-            engine=config.engine,
-            subset=subset,
-            stats=stats,
-            jobs=config.jobs,
-        )
-    else:
-        partition = ksignature_partition(
-            graph,
-            interner,
-            k=config.k,
-            engine=config.engine,
-            subset=subset,
-            stats=stats,
-        )
+    partition = ksignature_partition(
+        graph,
+        interner,
+        k=config.k,
+        engine=config.engine,
+        subset=subset,
+        stats=stats,
+    )
     details = {
         "k": stats.k,
         "signature_rounds": stats.rounds,
@@ -272,7 +252,7 @@ register_method(MethodSpec(
     name="kbisim",
     runner=_kbisim_runner,
     finer_than="bisim",
-    description="hash-signature k-bisimulation, k rounds (Rau et al., 2022)",
+    description="k-bisimulation: k refinement rounds (Rau et al., 2022)",
     label_floor=False,
     uses_k=True,
 ))
@@ -280,7 +260,7 @@ register_method(MethodSpec(
     name="kbisim_deblank",
     runner=_kbisim_deblank_runner,
     finer_than="deblank",
-    description="k-round signature refinement on blank nodes only",
+    description="k refinement rounds on blank nodes only",
     uses_k=True,
 ))
 register_method(MethodSpec(

@@ -35,14 +35,6 @@ def call_name(call: ast.Call) -> str:
     return dotted_name(call.func)
 
 
-def is_sorted_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "sorted"
-    )
-
-
 def module_level_callables(tree: ast.Module) -> set[str]:
     """Names bound at module level to defs or imports (pool-safe targets)."""
     names: set[str] = set()

@@ -104,13 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the full bisimulation fixpoint",
     )
     align_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the k-bisimulation signature shard "
-        "pool (0 = one per CPU; identical results, less wall-clock)",
-    )
-    align_cmd.add_argument(
         "--incremental",
         action="store_true",
         help="maintain the chain's deblanking fixpoints under per-step "
@@ -296,7 +289,6 @@ def _command_align(args: argparse.Namespace) -> int:
         engine=args.engine,
         probe=args.probe,
         splitter=args.splitter,
-        jobs=args.jobs,
         k=args.k,
         incremental=args.incremental,
     )

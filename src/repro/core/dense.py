@@ -17,11 +17,9 @@ module keeps the exact same fixpoint semantics but runs each
   fixed-width binary form that hashes in one pass.
 
 The per-round gather/sort/dedupe runs vectorized in NumPy (one
-``lexsort`` over the subset's edges) in :func:`recolor_payloads`, the
-one builder of these keys, which the k-signature engine
-(:mod:`repro.core.ksignature`) hashes instead of interning.  This engine
-requires NumPy: :func:`resolve_refine_engine` refuses ``"dense"`` with a
-:class:`~repro.exceptions.ConfigError` when it is missing, and
+``lexsort`` over the subset's edges) in :func:`recolor_payloads`.  This
+engine requires NumPy: :func:`resolve_refine_engine` refuses ``"dense"``
+with a :class:`~repro.exceptions.ConfigError` when it is missing, and
 ``engine="reference"`` is the dependency-free path.
 
 The keys are interned in the *shared* :class:`ColorInterner`, so dense
@@ -83,8 +81,31 @@ def dense_refine_fixpoint(
     the fixpoint is detected through the monotone class count, and when
     *max_rounds* truncates the iteration a warning is logged and
     ``stats.converged`` (pass a :class:`FixpointStats`) is ``False``.
-    The arrays are *graph*'s cached :meth:`~repro.model.graph.TripleGraph.csr`
-    snapshot, so refinements of one graph share one compaction.
+    """
+    if stats is None:
+        stats = FixpointStats()
+    fixpoint = dense_refine_rounds(
+        graph, partition, subset, interner, max_rounds, stats
+    )
+    if not stats.converged:
+        _warn_truncated(stats, max_rounds)
+    return fixpoint
+
+
+def dense_refine_rounds(
+    graph: TripleGraph,
+    partition: Partition,
+    subset: Collection[NodeId] | None = None,
+    interner: ColorInterner | None = None,
+    max_rounds: int | None = None,
+    stats: FixpointStats | None = None,
+) -> Partition:
+    """At most *max_rounds* dense ``BisimRefine`` rounds, with no warning.
+
+    The dense counterpart of :func:`~repro.core.refinement.refine_rounds`:
+    :func:`refine_colors` over *graph*'s cached
+    :meth:`~repro.model.graph.TripleGraph.csr` snapshot (so refinements of
+    one graph share one compaction), returned as a :class:`Partition`.
     """
     if interner is None:
         partition, interner = reseed_partition(partition)
@@ -92,23 +113,13 @@ def dense_refine_fixpoint(
         check_interner_covers(partition, interner)
     if stats is None:
         stats = FixpointStats()
-    stats.engine = "dense"
     csr = graph.csr()
-
     coloring = partition.as_dict()
-    colors = csr.gather_colors(coloring)
-    subset_ids = subset_mask(csr, subset)
-    colors, rounds, converged, classes = refine_colors(
-        csr, colors, subset_ids, interner, max_rounds
+    colors = refine_colors(
+        csr, csr.gather_colors(coloring), subset_mask(csr, subset), interner,
+        max_rounds, stats,
     )
-
-    stats.rounds = rounds
-    stats.converged = converged
     stats.initial_classes = partition.num_classes
-    stats.final_classes = classes
-    if not converged:
-        _warn_truncated(stats, max_rounds)
-
     # Materialize, preserving any off-graph extras of the input partition
     # (`coloring` is already a private copy).
     coloring.update(zip(csr.nodes, colors))
@@ -121,17 +132,19 @@ def refine_colors(
     subset_ids: list[int],
     interner: ColorInterner,
     max_rounds: int | None = None,
-) -> tuple[list[int], int, bool, int]:
-    """One ``BisimRefine*`` fixpoint directly over a dense color buffer.
+    stats: FixpointStats | None = None,
+) -> list[int]:
+    """At most *max_rounds* ``BisimRefine`` rounds over a dense color buffer.
 
-    The low-level entry point of the dense engine: no :class:`Partition`
+    The low-level loop of the dense engine: no :class:`Partition`
     objects are materialized, which lets the Algorithm 2 driver
     (:mod:`repro.similarity.dense_overlap`) run many propagation rounds
     against one shared *csr* snapshot and one mutable color buffer.
     *subset_ids* must be dense ids sorted ascending (see
-    :func:`~repro.model.csr.subset_mask`).  Returns
-    ``(colors, rounds, converged, classes)`` with the same fixpoint
-    semantics as :func:`dense_refine_fixpoint`.
+    :func:`~repro.model.csr.subset_mask`).  Returns the refined colors,
+    with the stop test of :func:`~repro.core.refinement.refine_rounds`;
+    *stats*, when given, receives the rounds, ``converged``, the final
+    class count and the per-round class counts.
     """
     offsets, predicates, objects = (
         as_int64(buffer) for buffer in csr.subgraph_pairs(subset_ids)
@@ -139,10 +152,9 @@ def refine_colors(
     subset = as_int64(subset_ids)
     colors_np = _np.array(colors, dtype=_np.int64)
     current_classes = _class_count(colors_np)
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return colors_np.tolist(), rounds, False, current_classes
+    class_counts: list[int] = []
+    converged = False
+    while max_rounds is None or len(class_counts) < max_rounds:
         _check_color_budget(interner)
         # One simultaneous BisimRefine round: keys read `colors_np`, writes
         # go to the `new_colors_np` copy.
@@ -154,13 +166,21 @@ def refine_colors(
             buffer[start:end] for start, end in zip(bounds, bounds[1:])
         )
         refined_classes = _class_count(new_colors_np)
-        rounds += 1
+        class_counts.append(refined_classes)
         if refined_classes == current_classes:
             # The round was a pure recoloring: the previous iterate already
             # was the fixpoint (Definition 4).
-            return colors_np.tolist(), rounds, True, current_classes
+            converged = True
+            break
         colors_np = new_colors_np
         current_classes = refined_classes
+    if stats is not None:
+        stats.engine = "dense"
+        stats.rounds = len(class_counts)
+        stats.converged = converged
+        stats.final_classes = current_classes
+        stats.class_counts = class_counts
+    return colors_np.tolist()
 
 
 def _class_count(colors: Any) -> int:
@@ -202,22 +222,20 @@ def recolor_payloads(
     Every argument is an int64 ndarray (see :func:`as_int64`): *colors*
     is the full dense color buffer, *subset_ids* the nodes to recolor,
     and ``offsets[k]:offsets[k+1]`` slices *predicates*/*objects* to the
-    out-pairs of ``subset_ids[k]`` (a shard's offsets need not start at
-    0).  Returns ``(buffer, bounds)``: ``buffer[bounds[k]:bounds[k+1]]``
-    is node ``k``'s key, the int64 bytes of ``[current color, sorted
-    unique (p_color << 32) | o_color codes]``.
+    out-pairs of ``subset_ids[k]``, from ``offsets[0] == 0``.  Returns
+    ``(buffer, bounds)``: ``buffer[bounds[k]:bounds[k+1]]`` is node
+    ``k``'s key, the int64 bytes of ``[current color, sorted unique
+    (p_color << 32) | o_color codes]``.
 
     One fancy-indexed gather packs the pair codes, one ``lexsort``
     orders them within each node's segment and a shift-compare drops
-    duplicates.  :func:`refine_colors` interns these keys; the
-    k-signature engine (:mod:`repro.core.ksignature`) hashes them.
+    duplicates.  :func:`refine_colors` interns these keys.
     """
     num = len(subset_ids)
-    start = int(offsets[0])
     end = int(offsets[-1])
     # Which subset position each pair belongs to (pairs are segment-grouped).
     owner = _np.repeat(_np.arange(num), _np.diff(offsets))
-    codes = (colors[predicates[start:end]] << 32) | colors[objects[start:end]]
+    codes = (colors[predicates[:end]] << 32) | colors[objects[:end]]
     order = _np.lexsort((codes, owner))
     owner_sorted = owner[order]
     codes_sorted = codes[order]

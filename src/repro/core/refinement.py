@@ -8,19 +8,20 @@ equation (1):
 
 ``BisimRefine_X`` applies ``recolor`` to the nodes of a chosen subset ``X``
 only (equation (2)); iterating it to a fixpoint yields ``BisimRefine*_X``
-(Definition 4).  :func:`refine_to_fixpoint` is the one reference loop of
-that iteration; full bisimulation, the trace, the Section 6 keyed and
-context-aware variants and the store's joint quotient refinement differ
-only in the recolor key they hand it.
+(Definition 4).  :func:`refine_rounds` is the one reference loop of
+that iteration and :func:`refine_to_fixpoint` runs it to the fixpoint;
+full bisimulation, the trace, the Section 6 keyed and context-aware
+variants and the store's joint quotient refinement differ only in the
+recolor key they hand it, and k-bisimulation
+(:mod:`repro.core.ksignature`) is the same loop cut at ``k`` rounds.
 
 Its stop test assumes that classes only ever split (the new color embeds
 the old one), so that "the class count stopped growing" means "stable".
 That is false for a subset refined against a shared interner: a recolored
 node can take a color used outside the subset, a split and a merge cancel,
 and an unrefined iterate is returned (a known wrong answer, see
-ROADMAP.md).  Three functions still rely on the assumption:
-:func:`refine_to_fixpoint`, :func:`repro.core.dense.refine_colors` and
-:func:`repro.core.ksignature.ksignature_rounds`.
+ROADMAP.md).  Two functions hold that test: :func:`refine_rounds` and
+:func:`repro.core.dense.refine_colors`.
 
 Colors are hash-consed through :class:`~repro.partition.interner.ColorInterner`,
 which is the paper's "simple hashing technique": the derivation tree of a
@@ -30,7 +31,7 @@ color is stored once as a DAG and color comparison is integer equality.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Hashable
 
 from ..exceptions import PartitionError
@@ -66,6 +67,9 @@ class FixpointStats:
     final_classes: int = 0
     #: Engine that produced the result ("reference" or "dense").
     engine: str = "reference"
+    #: Class count after each executed round (``class_counts[r]`` after
+    #: round ``r + 1``, the confirming round included).
+    class_counts: list[int] = field(default_factory=list)
 
 
 def _warn_truncated(stats: FixpointStats, max_rounds: int | None) -> None:
@@ -188,6 +192,66 @@ def bisim_refine_step(
 RecolorKey = Callable[[Any, Partition, NodeId], Hashable]
 
 
+def refine_rounds(
+    graph: Any,
+    partition: Partition,
+    subset: Collection[NodeId] | None,
+    interner: ColorInterner | None,
+    key: RecolorKey,
+    max_rounds: int | None = None,
+    stats: FixpointStats | None = None,
+    iterates: list[Partition] | None = None,
+) -> Partition:
+    """At most *max_rounds* ``BisimRefine`` rounds under the recolor key *key*.
+
+    The reference loop.  Each round recolors every node of *subset*
+    (default: ``graph.nodes()``) at once to
+    ``interner.intern(key(graph, current, node))``, and the loop returns
+    the last iterate before a round that leaves the class count unchanged
+    (``stats.converged``), or the iterate after *max_rounds* rounds.
+    *graph* is whatever *key* reads.  Without an *interner* the partition
+    is reseeded (:func:`reseed_partition`); a supplied one must cover it
+    (:func:`check_interner_covers`).  *iterates*, when given, receives
+    every iterate, the initial partition first.  A cut is not reported
+    here: k-bisimulation asks for exactly *max_rounds* rounds, and
+    :func:`refine_to_fixpoint` warns on it.
+    """
+    if interner is None:
+        partition, interner = reseed_partition(partition)
+    else:
+        check_interner_covers(partition, interner)
+    if stats is None:
+        stats = FixpointStats()
+    stats.engine = "reference"
+    stats.initial_classes = current_classes = partition.num_classes
+    stats.class_counts = class_counts = []
+    nodes = list(subset) if subset is not None else list(graph.nodes())
+    intern = interner.intern
+    current = partition
+    if iterates is not None:
+        iterates.append(current)
+    converged = False
+    while max_rounds is None or len(class_counts) < max_rounds:
+        refined = current.with_colors(
+            {node: intern(key(graph, current, node)) for node in nodes}
+        )
+        refined_classes = refined.num_classes
+        class_counts.append(refined_classes)
+        if refined_classes == current_classes:
+            # Equivalent partition: the step was a pure recoloring, so the
+            # previous iterate already was the fixpoint.
+            converged = True
+            break
+        current = refined
+        current_classes = refined_classes
+        if iterates is not None:
+            iterates.append(current)
+    stats.rounds = len(class_counts)
+    stats.converged = converged
+    stats.final_classes = current_classes
+    return current
+
+
 def refine_to_fixpoint(
     graph: Any,
     partition: Partition,
@@ -198,53 +262,20 @@ def refine_to_fixpoint(
     stats: FixpointStats | None = None,
     iterates: list[Partition] | None = None,
 ) -> Partition:
-    """``BisimRefine*`` under the recolor key *key*: the reference loop.
+    """``BisimRefine*`` under the recolor key *key*: :func:`refine_rounds`
+    until the partition is stable.
 
-    Each round recolors every node of *subset* (default: ``graph.nodes()``)
-    at once to ``interner.intern(key(graph, current, node))``, and the loop
-    returns the last iterate before a round that leaves the class count
-    unchanged.  *graph* is whatever *key* reads.  Without an *interner* the
-    partition is reseeded (:func:`reseed_partition`); a supplied one must
-    cover it (:func:`check_interner_covers`).  A *max_rounds* cut logs a
-    warning and leaves ``stats.converged`` ``False``.  *iterates*, when
-    given, receives every iterate, the initial partition first.
+    Same arguments; here *max_rounds* is a safety bound, so a cut logs a
+    warning and leaves ``stats.converged`` ``False``.
     """
-    if interner is None:
-        partition, interner = reseed_partition(partition)
-    else:
-        check_interner_covers(partition, interner)
     if stats is None:
         stats = FixpointStats()
-    stats.engine = "reference"
-    stats.initial_classes = current_classes = partition.num_classes
-    nodes = list(subset) if subset is not None else list(graph.nodes())
-    intern = interner.intern
-    current = partition
-    if iterates is not None:
-        iterates.append(current)
-    rounds = 0
-    converged = False
-    while max_rounds is None or rounds < max_rounds:
-        refined = current.with_colors(
-            {node: intern(key(graph, current, node)) for node in nodes}
-        )
-        refined_classes = refined.num_classes
-        rounds += 1
-        if refined_classes == current_classes:
-            # Equivalent partition: the step was a pure recoloring, so the
-            # previous iterate already was the fixpoint.
-            converged = True
-            break
-        current = refined
-        current_classes = refined_classes
-        if iterates is not None:
-            iterates.append(current)
-    stats.rounds = rounds
-    stats.converged = converged
-    stats.final_classes = current_classes
-    if not converged:
+    fixpoint = refine_rounds(
+        graph, partition, subset, interner, key, max_rounds, stats, iterates
+    )
+    if not stats.converged:
         _warn_truncated(stats, max_rounds)
-    return current
+    return fixpoint
 
 
 def bisim_refine_fixpoint(

@@ -39,17 +39,6 @@ class PartitionError(ReproError):
     """A partition is used with a graph it does not cover, or is malformed."""
 
 
-class SignatureCollisionError(PartitionError):
-    """Two distinct refinement keys hashed to the same k-bisimulation signature.
-
-    The hash-signature engine (:mod:`repro.core.ksignature`) replaces each
-    round's structural recolor key by a 63-bit hash; a collision would
-    silently merge unrelated classes, so every round cross-checks the
-    signatures against full-width digests and raises this error instead of
-    producing a corrupt partition.
-    """
-
-
 class AlignmentError(ReproError):
     """An alignment query could not be answered (e.g. node on wrong side)."""
 

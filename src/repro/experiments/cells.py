@@ -94,11 +94,8 @@ def method_counts_cell(store, config, pair: tuple[int, int]) -> tuple[int, int, 
 def kbisim_counts_cell(store, config, pair: tuple[int, int]) -> dict:
     """k-bisimulation counts of one version pair at round bound ``config.k``.
 
-    Runs the ``kbisim`` method over the pair's memoized union.  Inside a
-    pool worker the per-node signature shard pool is automatically
-    disabled (nested pools stay serial), so parallelism is per-cell
-    here and per-node in direct :class:`~repro.align.session.Aligner`
-    runs — both byte-identical to the serial result.
+    Runs the ``kbisim`` method over the pair's memoized union; the
+    parallelism is per cell, through the store pool.
     """
     config = config or _DEFAULT_CONFIG
     source, target = pair

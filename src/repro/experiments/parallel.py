@@ -1,18 +1,16 @@
 """The one process pool: every parallel call in the repo runs through it.
 
 The paper's evaluation (Figures 9–16) is dominated by *matrices* of
-alignment runs, and a k-bisimulation run splits each signature round
-per node; both are independent work over immutable, prepared state.
+alignment runs: independent work over immutable, prepared state.
 :class:`SharedStorePool` is the single executor that fans such work out
 over worker processes:
 
 * the parent publishes a *state* object into named
   ``multiprocessing.shared_memory`` segments **once**.  Any object with
   a ``publish_shared(registry) -> manifest`` method and a
-  ``from_manifest(manifest)`` classmethod qualifies:
-  :class:`~repro.experiments.store.VersionStore` for figure and oracle
-  cells, :class:`~repro.experiments.ksig_shard.SignatureShards` for
-  signature rounds;
+  ``from_manifest(manifest)`` classmethod qualifies, as
+  :class:`~repro.experiments.store.VersionStore` does for figure and
+  oracle cells;
 * a persistent pool of workers rebuilds that state by segment name in
   its initializer (``type(state).from_manifest(manifest)``; CSR index
   arrays come back as zero-copy numpy views), so only ``(cell,
@@ -72,7 +70,7 @@ transient pool failures (see ``docs/robustness.md``):
   probe (``"cell.serial"``) and pool construction (``"pool.start"``) —
   each a single ``is None`` check when injection is disabled.  The
   worker and pool-start hooks live in :class:`SharedStorePool` itself,
-  so they reach every pooled call, signature shards included.
+  so they reach every pooled call.
 """
 
 from __future__ import annotations
@@ -196,11 +194,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def in_worker() -> bool:
-    """Is this process a pool worker?  Nested pools must stay serial."""
-    return _IN_WORKER
-
-
 # ----------------------------------------------------------------------
 # The shared-memory pool (fork and spawn)
 # ----------------------------------------------------------------------
@@ -256,8 +249,7 @@ class SharedStorePool:
 
     *state* is any object with ``publish_shared(registry) -> manifest``
     and a ``from_manifest(manifest)`` classmethod (a
-    :class:`~repro.experiments.store.VersionStore`, a
-    :class:`~repro.experiments.ksig_shard.SignatureShards`).  The
+    :class:`~repro.experiments.store.VersionStore`).  The
     constructor publishes it into a private
     :class:`~repro.experiments.shm.ShmRegistry` and starts *jobs*
     workers whose initializer rebuilds it with

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..exceptions import ConfigError, TransientError
 
@@ -164,8 +164,3 @@ def call_with_retry(fn: Callable[[], Any], *,
                 on_retry(attempt, error)
     assert last is not None
     raise last
-
-
-def describe_attempts(errors: Sequence[BaseException]) -> str:
-    """A compact one-line history of retry errors, for log messages."""
-    return "; ".join(f"attempt {n}: {error!r}" for n, error in enumerate(errors))

@@ -350,9 +350,7 @@ def dense_overlap_partition(
         for dense in subset:
             colors[dense] = blank
             weights[dense] = 0.0
-        colors, _rounds, _converged, _classes = refine_colors(
-            csr, colors, subset, interner
-        )
+        colors = refine_colors(csr, colors, subset, interner)
         for dense in subset:
             tracker.recolor(dense, colors[dense])
         weight_stats = WeightFixpointStats()

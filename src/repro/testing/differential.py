@@ -49,14 +49,13 @@ asserts the cross-cutting invariants:
   exception in any method × engine cell is captured as a ``crash``
   divergence (the sweep still completes and the artifact is written);
 * **k-bisimulation boundedness** (``--axis kbisim``) — the
-  hash-signature family (:mod:`repro.core.ksignature`) sweeps the round
+  k-bisimulation family (:mod:`repro.core.ksignature`) sweeps the round
   bound: per pair, engines agree byte-wise at *every* ``k``, the
   partition at ``k+1`` refines the partition at ``k`` (and the aligned
   pair set shrinks accordingly), the anchor fixpoint method's alignment
-  is contained at every ``k``, the alignment at ``k`` = the combined
-  graph's diameter is byte-identical to the fixpoint method's (modulo
-  the method-identity markers), and the signature shard pool
-  (``jobs > 1``) reproduces the serial bytes exactly.
+  is contained at every ``k``, and the alignment at ``k`` = the
+  combined graph's diameter is byte-identical to the fixpoint method's
+  (modulo the method-identity markers).
 
 Every failure is a :class:`Divergence` carrying the scenario config, so
 CI can upload ``{seed, config}`` JSON artifacts from which the exact
@@ -841,7 +840,7 @@ class _ScenarioOracle:
         Per pair and per family member (``kbisim`` anchored on the full
         ``bisim`` fixpoint, ``kbisim_deblank`` on ``deblank``), the
         round bound is swept over ``k = 0 .. diameter + 1`` of the
-        combined graph and five invariants are pinned:
+        combined graph and four invariants are pinned:
 
         * **engine parity** — reference/dense agree byte-wise at every k;
         * **k-monotonicity** — the partition at ``k+1`` refines the
@@ -852,10 +851,7 @@ class _ScenarioOracle:
           method's at every ``k``;
         * **convergence** — at ``k >= diameter`` the report is
           byte-identical to the anchor's modulo the method-identity
-          markers (:func:`_family_bytes`);
-        * **jobs determinism** — at ``k = diameter`` the signature shard
-          pool (every ``jobs > 1`` in the sweep) reproduces the serial
-          report bytes exactly.
+          markers (:func:`_family_bytes`).
         """
         from ..core.ksignature import graph_diameter
 
@@ -963,29 +959,6 @@ class _ScenarioOracle:
                             f"alignment at k={k} (diameter {diameter}) is "
                             f"not byte-identical to the {anchor!r} fixpoint",
                             pair=pair, k=k,
-                        )
-                serial_bytes = base[diameter][1].to_json()
-                for jobs in self.report.jobs:
-                    if jobs <= 1:
-                        continue
-                    config = AlignConfig(
-                        method=method, engine=base_engine,
-                        k=diameter, jobs=jobs,
-                    )
-                    outcome = _run_cell(config, source, target)
-                    self.report.cells += 1
-                    if isinstance(outcome, Refusal):
-                        self._diverge(
-                            "kbisim_jobs_determinism", method,
-                            f"jobs={jobs} run refused: {outcome.render()}",
-                            pair=pair, k=diameter,
-                        )
-                    elif outcome.report(config).to_json() != serial_bytes:
-                        self._diverge(
-                            "kbisim_jobs_determinism", method,
-                            f"jobs={jobs} report differs byte-wise from the "
-                            f"serial run",
-                            pair=pair, k=diameter,
                         )
 
     def check_report_roundtrip(self, method: str,

@@ -1,22 +1,21 @@
-"""Property and unit tests of hash-signature k-bisimulation.
+"""Property and unit tests of k-bisimulation.
 
 The contract under test (:mod:`repro.core.ksignature`):
 
-1.  at large ``k`` the signature partition equals the ``BisimRefine``
+1.  at large ``k`` the k-round partition equals the ``BisimRefine``
     fixpoint — on random graphs including blank-heavy cycles, for both
-    payload engines, over all nodes and over the blank subset;
-2.  the reference and dense payload builders are *byte-identical* (same
-    interned colors, not merely equivalent partitions), and the
-    shared-memory shard pool reproduces the serial colors for every
-    jobs count;
+    engines, over all nodes and over the blank subset;
+2.  the reference and dense round loops intern *identical* colors, not
+    merely equivalent partitions;
 3.  the iterates are monotone in ``k`` and ``k=0`` is the label
     partition;
 4.  relabeling URIs through a bijection leaves the k-class size
-    multiset invariant at every ``k`` (signatures see structure, not
+    multiset invariant at every ``k`` (refinement sees structure, not
     names);
-5.  a degenerate (collision-forcing) hasher is *detected* by the
-    verification pass — :class:`~repro.exceptions.
-    SignatureCollisionError` — never silently merged;
+5.  ``k`` rounds are the refinement trace cut at ``k``: the partition
+    is the trace's iterate after ``min(k, productive rounds)`` rounds,
+    and the round count, ``converged`` and the per-round class counts
+    are the ones the trace implies;
 6.  the ``AlignConfig.k`` knob validates and the method family
     (``bisim``/``kbisim``/``kbisim_deblank``) plugs into the session
     API and the report schema.
@@ -24,41 +23,24 @@ The contract under test (:mod:`repro.core.ksignature`):
 
 from __future__ import annotations
 
-from hashlib import blake2b
-
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import AlignConfig, Aligner
 from repro.core.bisimulation import bisimulation_partition
 from repro.core.deblank import deblank_partition
 from repro.core.dense import REFINEMENT_ENGINES
-from repro.core.ksignature import (
-    SignatureStats,
-    SignatureVerifier,
-    default_signature_hasher,
-    graph_diameter,
-    ksignature_partition,
-    signature_digest,
-)
-from repro.exceptions import (
-    ConfigError,
-    ExperimentError,
-    SignatureCollisionError,
-    UnknownEngineError,
-)
-from repro.experiments.ksig_shard import (
-    pooled_available,
-    pooled_ksignature_partition,
-)
+from repro.core.ksignature import SignatureStats, graph_diameter, ksignature_partition
+from repro.core.refinement import refinement_trace
+from repro.exceptions import ConfigError, ExperimentError, UnknownEngineError
 from repro.model import RDFGraph, blank, lit, uri
 from repro.partition.coloring import label_partition
 from repro.partition.interner import ColorInterner
 
 COMMON = dict(max_examples=30, deadline=None)
 
-#: Both payload engines, in registry order ("reference", "dense").
+#: Both engines, in registry order ("reference", "dense").
 ENGINES = tuple(REFINEMENT_ENGINES)
 
 _URIS = [f"n{i}" for i in range(6)]
@@ -156,7 +138,7 @@ class TestFixpointEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# 2. Engine byte-parity and pooled determinism
+# 2. Engine color parity
 # ---------------------------------------------------------------------------
 class TestEngineParity:
     @settings(**COMMON)
@@ -167,65 +149,6 @@ class TestEngineParity:
         )
         dense = ksignature_partition(graph, ColorInterner(), k=k, engine="dense")
         assert reference.as_dict() == dense.as_dict()
-
-    @pytest.mark.skipif(not pooled_available(), reason="no shared memory")
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_pooled_colors_match_serial(self, engine, jobs):
-        graph = RDFGraph()
-        ring = [blank(f"b{i}") for i in range(6)]
-        for index, node in enumerate(ring):
-            graph.add(node, uri("p"), ring[(index + 1) % len(ring)])
-        graph.add(uri("a"), uri("q"), ring[0])
-        graph.add(uri("c"), uri("q"), ring[3])
-        serial = ksignature_partition(graph, ColorInterner(), k=4, engine=engine)
-        pooled = pooled_ksignature_partition(
-            graph, ColorInterner(), k=4, engine=engine, jobs=jobs
-        )
-        assert pooled.as_dict() == serial.as_dict()
-
-    @pytest.mark.skipif(not pooled_available(), reason="no shared memory")
-    def test_pooled_run_leaks_no_segments(self):
-        from repro.experiments.shm import list_segments
-
-        graph = RDFGraph()
-        graph.add(uri("a"), uri("p"), blank("b"))
-        graph.add(blank("b"), uri("p"), lit("x"))
-        pooled_ksignature_partition(graph, k=2, jobs=2)
-        assert list_segments() == []
-
-    @pytest.mark.skipif(not pooled_available(), reason="no shared memory")
-    def test_pooled_run_survives_worker_crash(self, monkeypatch):
-        """A shard worker SIGKILLed mid-round sends the run down the
-        serial replay: same colors, no leaked segments."""
-        from repro.experiments import ksig_shard
-        from repro.experiments.shm import list_segments
-        from repro.robustness import FaultPlan, FaultSpec, inject
-
-        graph = RDFGraph()
-        ring = [blank(f"b{i}") for i in range(6)]
-        for index, node in enumerate(ring):
-            graph.add(node, uri("p"), ring[(index + 1) % len(ring)])
-        graph.add(uri("a"), uri("q"), ring[0])
-        serial = ksignature_partition(graph, ColorInterner(), k=4)
-
-        replays: list = []
-        replay = ksig_shard.ksignature_colors
-        monkeypatch.setattr(
-            ksig_shard, "ksignature_colors",
-            lambda *args, **kwargs: replays.append(1) or replay(*args, **kwargs),
-        )
-        plan = FaultPlan(
-            name="shard-sigkill",
-            specs=(FaultSpec(site="worker.cell", kind="sigkill", times=1),),
-        )
-        with inject(plan):
-            pooled = pooled_ksignature_partition(
-                graph, ColorInterner(), k=4, jobs=2
-            )
-        assert replays == [1], "the crash did not reach the serial replay"
-        assert pooled.as_dict() == serial.as_dict()
-        assert list_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -294,61 +217,39 @@ class TestRelabelInvariance:
 
 
 # ---------------------------------------------------------------------------
-# 5. Collision detection
+# 5. k rounds are the refinement trace cut at k
 # ---------------------------------------------------------------------------
-class TestCollisionDetection:
+class TestTraceCut:
     @settings(**COMMON)
-    @given(graph=rdf_graphs(), engine=st.sampled_from(ENGINES))
-    def test_constant_hasher_is_detected_not_merged(self, graph, engine):
-        """With >= 2 label classes a constant signature must collide in
-        round one (distinct payloads, one hash value) and raise."""
-        initial = label_partition(graph, ColorInterner())
-        assume(len(initial.classes()) >= 2)
-        with pytest.raises(SignatureCollisionError):
-            ksignature_partition(
-                graph, k=2, engine=engine, hasher=lambda payload: 7
-            )
-
-    def test_one_bit_hasher_collides_on_three_classes(self):
-        graph = RDFGraph()
-        graph.add(uri("a"), uri("p"), lit("x"))
-        graph.add(uri("b"), uri("q"), lit("y"))
-        graph.add(uri("c"), uri("r"), lit("z"))
-
-        def one_bit(payload: bytes) -> int:
-            return blake2b(payload, digest_size=8).digest()[-1] & 1
-
-        with pytest.raises(SignatureCollisionError):
-            ksignature_partition(graph, k=1, hasher=one_bit)
-
-    def test_verifier_accepts_consistent_and_rejects_colliding(self):
-        verifier = SignatureVerifier()
-        payload_a, payload_b = b"key-a", b"key-b"
-        sig = default_signature_hasher(payload_a)
-        verifier.check([sig], signature_digest(payload_a))
-        verifier.check([sig], signature_digest(payload_a))  # idempotent
-        with pytest.raises(SignatureCollisionError):
-            verifier.check([sig], signature_digest(payload_b))
-
-    def test_cross_round_collisions_are_caught(self):
-        """The verifier map spans rounds: a later-round signature that
-        reuses an earlier round's value for a *different* payload must
-        raise.  The recycling hasher is deterministic per payload but
-        cycles through only five values, so the first productive round
-        passes cleanly and the next round's fresh payloads collide."""
-        assigned: dict[bytes, int] = {}
-
-        def recycling(payload: bytes) -> int:
-            if payload not in assigned:
-                assigned[payload] = len(assigned) % 5 + 1
-            return assigned[payload]
-
-        graph = RDFGraph()
-        graph.add(blank("b1"), uri("p"), lit("x"))
-        graph.add(blank("b2"), uri("p"), blank("b1"))
-        graph.add(blank("b3"), uri("p"), blank("b2"))
-        with pytest.raises(SignatureCollisionError):
-            ksignature_partition(graph, k=4, hasher=recycling)
+    @given(
+        graph=st.one_of(rdf_graphs(), blank_cycle_graphs()),
+        k=st.integers(0, 6),
+        engine=st.sampled_from(ENGINES),
+        blanks_only=st.booleans(),
+    )
+    def test_partition_and_stats_follow_the_trace(
+        self, graph, k, engine, blanks_only
+    ):
+        subset = graph.blanks() if blanks_only else None
+        interner = ColorInterner()
+        trace = refinement_trace(
+            graph, label_partition(graph, interner), subset, interner
+        )
+        productive = len(trace) - 1
+        stats = SignatureStats()
+        partition = ksignature_partition(
+            graph, k=k, engine=engine, subset=subset, stats=stats
+        )
+        assert partition.equivalent_to(trace[min(k, productive)])
+        # Each productive round adds an iterate; one more round confirms
+        # the fixpoint, and only a run that reaches it converges.
+        rounds = min(k, productive + 1)
+        counts = [iterate.num_classes for iterate in trace[1:]]
+        counts.append(trace[-1].num_classes)
+        assert stats.rounds == rounds
+        assert stats.converged == (k > productive)
+        assert stats.class_counts == counts[:rounds]
+        assert stats.k == k
 
 
 # ---------------------------------------------------------------------------

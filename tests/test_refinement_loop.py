@@ -21,6 +21,7 @@ from repro.core.context import bidirectional_refine_fixpoint, inbound_index
 from repro.core.deblank import deblank_partition
 from repro.core.hybrid import blanked_partition
 from repro.core.keyed import keyed_refine_fixpoint, predicate_key
+from repro.core.ksignature import SignatureStats, ksignature_partition
 from repro.core.refinement import (
     bisim_refine_fixpoint,
     bisim_refine_step,
@@ -364,4 +365,14 @@ class TestTruncationWarning:
         interner = ColorInterner()
         with caplog.at_level(logging.DEBUG, logger="repro.core.refinement"):
             _VARIANTS[variant](graph, label_partition(graph, interner), interner, {})
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("engine", ["reference", "dense"])
+    def test_kbisim_reaching_k_is_quiet(self, engine, caplog, figure2_graph):
+        """``k`` is k-bisimulation's parameter, not a safety bound: a run
+        cut at ``k`` rounds logs nothing on either engine."""
+        stats = SignatureStats()
+        with caplog.at_level(logging.DEBUG):
+            ksignature_partition(figure2_graph, k=1, engine=engine, stats=stats)
+        assert (stats.rounds, stats.converged) == (1, False)
         assert caplog.records == []
