@@ -104,8 +104,7 @@ class AlignmentReport:
         # Every node is either paired or unaligned, so each union id
         # (``0 .. n-1``) is rendered exactly once, up front.
         render = cast(
-            "Callable[[NodeId], str]",
-            [repr(graph.original(node)) for node in range(graph.num_nodes)].__getitem__,
+            "Callable[[NodeId], str]", list(map(repr, graph.originals())).__getitem__
         )
         pairs = tuple(
             (render(s), render(t)) for s, t in alignment.sorted_pairs(render)

@@ -15,6 +15,8 @@ Two counting conventions are used by the paper's figures:
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ..datasets.ground_truth import GroundTruth
 from ..exceptions import PartitionError
 from ..model.union import CombinedGraph
@@ -28,18 +30,18 @@ def aligned_edge_counts(
 ) -> tuple[int, int]:
     """``(|T1 ∩ T2|, |T1 ∪ T2|)`` over distinct edge color triples.
 
-    One pass over the edges: the subject's int id carries the edge's
-    side (source ids come first, see :mod:`repro.model.union`).
+    One pass over the union's edge columns: the source edges come first
+    (see :mod:`repro.model.union`), so the first ``|E1|`` color triples
+    form ``T1`` and the rest ``T2``.
     """
-    split = graph.num_source_nodes
-    colors = partition.as_dict()  # plain dict lookups, not a method call each
-    source_triples: set[tuple[Color, Color, Color]] = set()
-    target_triples: set[tuple[Color, Color, Color]] = set()
+    color = partition.as_dict().__getitem__  # plain dict lookups, in C
+    subjects, predicates, objects = graph.edge_columns()
+    triples = zip(map(color, subjects), map(color, predicates), map(color, objects))
     try:
-        for subject, predicate, obj in graph.edges():
-            is_source = subject < split  # type: ignore[operator]
-            triples = source_triples if is_source else target_triples
-            triples.add((colors[subject], colors[predicate], colors[obj]))
+        source_triples: set[tuple[Color, Color, Color]] = set(
+            islice(triples, graph.num_source_edges)
+        )
+        target_triples: set[tuple[Color, Color, Color]] = set(triples)
     except KeyError as missing:
         raise PartitionError(
             f"partition does not cover node {missing.args[0]!r}"

@@ -161,9 +161,10 @@ def theta_precision_cell(store, config, item: tuple[int, int, float]) -> dict:
 def method_timings_cell(store, config, index: int) -> dict:
     """Figure 16: trivial/hybrid/overlap seconds on one consecutive pair.
 
-    Times the *methods* in-process (union construction is excluded, and
-    on the dense engine so is the union's CSR snapshot, which every
-    method then reads).  Under a pool the cells run concurrently, so
+    Times the *methods* in-process.  Union construction is excluded, and
+    so is the adjacency every method then reads: the union's CSR snapshot
+    on the dense engine, its out-pair index on the reference engine (both
+    are built on first use).  Under a pool the cells run concurrently, so
     per-cell times can inflate under CPU contention while the wall-clock
     of the whole run drops; the timing columns are the only output that
     varies.
@@ -173,6 +174,8 @@ def method_timings_cell(store, config, index: int) -> dict:
     union = store.union(index, index + 1)
     if engine == "dense":
         union.csr()
+    else:
+        union.out_index()
     stats = union.stats()
     stopwatch = StopwatchSeries()
     trivial_interner = ColorInterner()

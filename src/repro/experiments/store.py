@@ -410,20 +410,22 @@ class VersionStore:
             raise ExperimentError(
                 f"no edge tokens for method {method!r} (trivial/deblank only)"
             )
-        labels = graph.labels()
+        # Per dense id: the node's token, and whether it is blank.
         blanks = graph.blanks()
+        tokens: list[Hashable] = []
+        is_blank: list[bool] = []
+        for node, label in graph.labels().items():
+            blank = node in blanks
+            tokens.append(blank_token(node) if blank else label)
+            is_blank.append(blank)
         static_set: set = set()
         blank_set: set = set()
-
-        def token(node: NodeId) -> Token:
-            return blank_token(node) if node in blanks else labels[node]
-
-        for edge in graph.edges():
-            subject, predicate, obj = edge
-            if blanks.isdisjoint(edge):
-                static_set.add((labels[subject], labels[predicate], labels[obj]))
+        for subject, predicate, obj in zip(*graph.edge_columns()):
+            triple = (tokens[subject], tokens[predicate], tokens[obj])
+            if is_blank[subject] or is_blank[predicate] or is_blank[obj]:
+                blank_set.add(triple)
             else:
-                blank_set.add((token(subject), token(predicate), token(obj)))
+                static_set.add(triple)
         static = frozenset(static_set)
         blank_part = frozenset(blank_set)
         self._edge_tokens[static_key] = static

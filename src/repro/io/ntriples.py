@@ -14,9 +14,10 @@ The parser is line-oriented (as the format requires) and reports precise
 line numbers on malformed input.  :func:`load` matches each line against
 one anchored regex covering the common shapes (an IRI or blank subject, an
 IRI predicate, an IRI, blank or escape-free literal object), interns each
-distinct term once per document and inserts the triples in bulk.  Every
-other line -- escapes, unusual spacing, malformed input -- goes through the
-character scanner behind :func:`parse_line`, the only reporter of errors.
+distinct term once per document and appends each triple's dense ids to
+the graph's edge columns.  Every other line -- escapes, unusual spacing,
+malformed input -- goes through the character scanner behind
+:func:`parse_line`, the only reporter of errors.
 """
 
 from __future__ import annotations
@@ -274,39 +275,37 @@ def load(stream: TextIO) -> RDFGraph:
     """Parse an N-Triples document from a file object.
 
     A line matching the fast-path shape in full is read from its regex
-    groups; each distinct term text becomes one term object for the whole
-    document, and its node is added when first seen, so nodes keep the
-    scanner path's first-seen subject, predicate, object order.  Its
-    triple joins a batch for :meth:`~repro.model.graph.TripleGraph.add_edges`.
-    Any other line goes through :func:`parse_line` and
-    :meth:`~repro.model.rdf.RDFGraph.add`, after the batch is flushed, so
-    edges too are inserted in document order.
+    groups; each distinct term text becomes one node for the whole
+    document, added when first seen, so nodes keep the scanner path's
+    first-seen subject, predicate, object order.  Its triple goes into
+    the graph's edge columns as dense ids
+    (:meth:`~repro.model.graph.TripleGraph.add_edge_ids`).  Any other line
+    goes through :func:`parse_line` and
+    :meth:`~repro.model.rdf.RDFGraph.add`, so edges too are inserted in
+    document order.
     """
     graph = RDFGraph()
-    terms: dict[str, Term] = {}
-    batch: list[tuple[Term, Term, Term]] = []
+    ids: dict[str, int] = {}
+    term, dense_id, add_edge_ids = graph.term, graph.dense_id, graph.add_edge_ids
     fast_triple = _FAST_TRIPLE.fullmatch
     for line_number, line in enumerate(stream, start=1):
         match = fast_triple(line.strip())
         if match is None:
             triple = parse_line(line, line_number)
             if triple is not None:
-                graph.add_edges(batch)
-                batch.clear()
                 graph.add(*triple)
             continue
         subject_text, predicate_text, object_text = match.groups()
-        subject = terms.get(subject_text)
+        subject = ids.get(subject_text)
         if subject is None:
-            subject = terms[subject_text] = graph.term(_fast_term(subject_text))
-        predicate = terms.get(predicate_text)
+            subject = ids[subject_text] = dense_id(term(_fast_term(subject_text)))
+        predicate = ids.get(predicate_text)
         if predicate is None:
-            predicate = terms[predicate_text] = graph.term(_fast_term(predicate_text))
-        obj = terms.get(object_text)
+            predicate = ids[predicate_text] = dense_id(term(_fast_term(predicate_text)))
+        obj = ids.get(object_text)
         if obj is None:
-            obj = terms[object_text] = graph.term(_fast_term(object_text))
-        batch.append((subject, predicate, obj))
-    graph.add_edges(batch)
+            obj = ids[object_text] = dense_id(term(_fast_term(object_text)))
+        add_edge_ids(subject, predicate, obj)
     return graph
 
 

@@ -5,8 +5,8 @@ every recolor step pays Python dict/set overhead per out-pair.  Following
 the flat-array representations of the large-graph bisimulation literature
 (Schätzle et al. [16]; Rau et al., *Computing k-Bisimulations for Large
 Graphs*; the I/O-efficient line of Hellings et al.), :class:`CSRGraph`
-compacts a graph once into integer node ids with contiguous adjacency
-arrays:
+groups a graph's dense-id edge columns by subject, in one stable counting
+sort (standard library only), into contiguous adjacency arrays:
 
 * ``nodes[i]`` — the original node identifier of dense id ``i``,
 * ``out_offsets[i] : out_offsets[i+1]`` — the slice of ``out_predicates``
@@ -15,7 +15,9 @@ arrays:
 
 The per-round work of the dense engine (:mod:`repro.core.dense`) then
 reduces to array indexing over these buffers — no hashing of node
-identifiers, no per-node set objects.
+identifiers, no per-node set objects.  The sort is stable, so each node's
+pairs keep the graph's insertion order (file order for a parsed graph):
+the engines' results must not, and do not, depend on that order.
 
 A snapshot is derived state of the graph it describes:
 :meth:`TripleGraph.csr() <repro.model.graph.TripleGraph.csr>` builds it
@@ -27,23 +29,23 @@ sides' snapshots by :meth:`CSRGraph.from_blocks`.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import GraphError, PartitionError
-from .graph import NodeId, TripleGraph
+from .graph import INDEX_TYPECODE, NodeId, TripleGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.shm import ShmRegistry
-
-#: Typecode of the adjacency index arrays (signed 64-bit).
-INDEX_TYPECODE = "q"
 
 
 class CSRGraph:
     """An immutable CSR snapshot of a :class:`~repro.model.graph.TripleGraph`.
 
-    Construction is O(|N| + |E|); the snapshot does not follow later
-    mutations of the source graph (read it through the graph's
+    Construction is one O(|N| + |E|) pass over the graph's edge columns;
+    the snapshot does not follow later mutations of the source graph
+    (read it through the graph's
     :meth:`~repro.model.graph.TripleGraph.csr`, which drops a snapshot
     the graph has outgrown).
     """
@@ -53,30 +55,31 @@ class CSRGraph:
     def __init__(self, graph: TripleGraph) -> None:
         #: Dense id -> original node identifier (graph iteration order).
         self.nodes: Sequence[NodeId] = list(graph.nodes())
+        count = len(self.nodes)
         #: Original node identifier -> dense id.
-        self.index: Mapping[NodeId, int] = {
-            node: i for i, node in enumerate(self.nodes)
-        }
-        index = self.index
-        offsets = array(INDEX_TYPECODE, [0])
-        predicates = array(INDEX_TYPECODE)
-        objects = array(INDEX_TYPECODE)
-        out_map = graph.out_index()
-        empty: set = set()
-        total = 0
-        for node in self.nodes:
-            pairs = out_map.get(node, empty)
-            if pairs:
-                predicates.extend([index[p] for p, _ in pairs])
-                objects.extend([index[o] for _, o in pairs])
-                total += len(pairs)
-            offsets.append(total)
+        self.index: Mapping[NodeId, int] = dict(zip(self.nodes, range(count)))
+        # One stable counting sort of the edge columns by subject, so each
+        # node's pairs keep the graph's insertion order.
+        subjects, predicates, objects = graph.edge_columns()
+        degrees = Counter(subjects)
+        offsets = array(
+            INDEX_TYPECODE, accumulate(map(degrees.get, range(count), repeat(0)), initial=0)
+        )
+        cursor = offsets.tolist()
+        width = len(subjects) * offsets.itemsize
+        sorted_predicates = array(INDEX_TYPECODE, bytes(width))
+        sorted_objects = array(INDEX_TYPECODE, bytes(width))
+        for subject, predicate, obj in zip(subjects, predicates, objects):
+            slot = cursor[subject]
+            cursor[subject] = slot + 1
+            sorted_predicates[slot] = predicate
+            sorted_objects[slot] = obj
         #: ``out_offsets[i]:out_offsets[i+1]`` slices the pair arrays.
         self.out_offsets: array = offsets
         #: Dense predicate ids of every out-pair, grouped by subject.
-        self.out_predicates: array = predicates
+        self.out_predicates: array = sorted_predicates
         #: Dense object ids of every out-pair, grouped by subject.
-        self.out_objects: array = objects
+        self.out_objects: array = sorted_objects
 
     # ------------------------------------------------------------------
     @property
@@ -253,23 +256,24 @@ class CSRGraph:
         offset = source.num_nodes
         count = offset + target.num_nodes
         snapshot.nodes = range(count)
-        snapshot.index = _IdentityIndex(count)
+        snapshot.index = IdentityIndex(count)
         pairs = int(source.out_offsets[-1])  # a NumPy view yields numpy ints
-        snapshot.out_offsets = _concat_shifted(
+        snapshot.out_offsets = concat_shifted(
             source.out_offsets, _int64s(target.out_offsets)[1:], pairs
         )
-        snapshot.out_predicates = _concat_shifted(
+        snapshot.out_predicates = concat_shifted(
             source.out_predicates, _int64s(target.out_predicates), offset
         )
-        snapshot.out_objects = _concat_shifted(
+        snapshot.out_objects = concat_shifted(
             source.out_objects, _int64s(target.out_objects), offset
         )
         return snapshot
 
 
-class _IdentityIndex(Mapping[int, int]):
-    """A union snapshot's ``index``: each id of ``0 .. size-1`` to itself.
-    Anything else is missing, so :meth:`CSRGraph.dense_id` refuses it."""
+class IdentityIndex(Mapping[int, int]):
+    """Each id of ``0 .. size-1`` to itself: the node -> dense id map of a
+    union and of its snapshot, whose ids are their own nodes.  Anything
+    else is missing, so :meth:`CSRGraph.dense_id` refuses it."""
 
     def __init__(self, size: int) -> None:
         self._ids = range(size)
@@ -291,11 +295,11 @@ def _int64s(buffer: array) -> memoryview:
     return memoryview(buffer).cast("B").cast(INDEX_TYPECODE)
 
 
-def _concat_shifted(first: array, second: memoryview, offset: int) -> array:
+def concat_shifted(first: array, second: Iterable[int], offset: int) -> array:
     """``first + (second + offset)`` as one ``array('q')``."""
     out = array(INDEX_TYPECODE)
     out.frombytes(memoryview(first).cast("B"))
-    out.extend(map(offset.__add__, second))
+    out.extend([item + offset for item in second])
     return out
 
 

@@ -12,12 +12,25 @@ The bisimulation machinery views a triple ``(s, p, o)`` as an unlabeled edge
 from ``s`` to the pair ``(p, o)``; therefore the central accessor is
 :meth:`TripleGraph.out`, the outbound neighborhood
 ``out_G(n) = {(p, o) | (n, p, o) ∈ E_G}``.
+
+Storage is columnar.  A node table numbers the nodes ``0 .. n-1`` in
+insertion order (the *dense ids*), and ``E_G`` is three ``array('q')``
+columns of dense ids, one entry per edge in insertion order.  Duplicate
+edges collapse through a set of packed-int keys, and neither ints nor
+arrays of ints give the cyclic GC anything to track per edge.  The
+dict-of-sets views -- :meth:`~TripleGraph.out_index` and
+:meth:`~TripleGraph.occurrence_index` -- are built from the columns on
+first use and kept current by later edges; the dense engine never asks
+for them and reads :meth:`~TripleGraph.csr`, one stable sort of the
+columns by subject.
 """
 
 from __future__ import annotations
 
+from array import array
+from copy import copy as shallow_copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from ..exceptions import GraphError
 from .labels import Label, NodeKind, is_blank, is_literal, is_uri
@@ -35,7 +48,21 @@ Edge = tuple[NodeId, NodeId, NodeId]
 #: An outbound pair (predicate, object).
 OutPair = tuple[NodeId, NodeId]
 
+#: Typecode of every dense-id array: the edge columns and the CSR
+#: buffers (signed 64-bit).
+INDEX_TYPECODE = "q"
+
 _EMPTY_OUT: frozenset[OutPair] = frozenset()
+
+#: State a pickle and a copy leave out: each is rebuilt on first use.
+_DERIVED = ("_keys", "_out", "_occurrences", "_csr")
+
+_Graph = TypeVar("_Graph", bound="TripleGraph")
+
+
+def _edge_key(subject: int, predicate: int, obj: int) -> int:
+    """One int per edge of dense ids below ``2**32``: its dedup key."""
+    return (subject << 32 | predicate) << 32 | obj
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,20 +88,29 @@ class GraphStats:
 class TripleGraph:
     """A mutable triple graph ``G = (N_G, E_G, ℓ_G)``.
 
-    The graph maintains the outbound-neighborhood index incrementally so
-    that :meth:`out` is O(1), which the partition-refinement algorithms rely
-    on.  Two indexes are derived state, built on first use and dropped when
-    the graph changes: the reverse *occurrence index* (node → nodes whose
-    out-pairs mention it) of the incremental refinement variant, and the
-    :meth:`csr` snapshot every dense kernel reads.
+    The node table holds ``ℓ_G`` in insertion order plus node -> dense id
+    and dense id -> node; the edges are three dense-id columns.  Three
+    views are derived state.  The outbound index behind :meth:`out` and
+    the reverse *occurrence index* of the incremental refinement variant
+    are built on first use and then kept current by :meth:`add_edge`;
+    the :meth:`csr` snapshot every dense kernel reads is dropped when
+    the graph changes.
     """
 
-    __slots__ = ("_labels", "_edges", "_out", "_occurrences", "_csr")
+    __slots__ = (
+        "_labels", "_nodes", "_index", "_subjects", "_predicates", "_objects",
+        "_keys", "_out", "_occurrences", "_csr",
+    )
 
     def __init__(self) -> None:
         self._labels: dict[NodeId, Label] = {}
-        self._edges: set[Edge] = set()
-        self._out: dict[NodeId, set[OutPair]] = {}
+        self._nodes: list[NodeId] = []
+        self._index: dict[NodeId, int] = {}
+        self._subjects = array(INDEX_TYPECODE)
+        self._predicates = array(INDEX_TYPECODE)
+        self._objects = array(INDEX_TYPECODE)
+        self._keys: set[int] | None = set()
+        self._out: dict[NodeId, set[OutPair]] | None = None
         self._occurrences: dict[NodeId, set[NodeId]] | None = None
         self._csr: CSRGraph | None = None
 
@@ -84,12 +120,15 @@ class TripleGraph:
     def add_node(self, node: NodeId, label: Label) -> NodeId:
         """Add *node* with *label*; re-adding with the same label is a no-op.
 
-        Raises :class:`GraphError` if the node exists with a different label
-        (a node's label never changes).
+        The node's dense id is the number of nodes before it.  Raises
+        :class:`GraphError` if the node exists with a different label (a
+        node's label never changes).
         """
         existing = self._labels.get(node)
         if existing is None:
             self._labels[node] = label
+            self._index[node] = len(self._nodes)
+            self._nodes.append(node)
             self._csr = None
         elif existing != label:
             raise GraphError(
@@ -103,40 +142,71 @@ class TripleGraph:
         All three nodes must already exist.  Adding a duplicate edge is a
         no-op (``E_G`` is a set).
         """
-        for role, node in (("subject", subject), ("predicate", predicate), ("object", obj)):
-            if node not in self._labels:
-                raise GraphError(f"{role} {node!r} of edge is not a node of the graph")
-        edge = (subject, predicate, obj)
-        if edge not in self._edges:
-            self._edges.add(edge)
-            self._out.setdefault(subject, set()).add((predicate, obj))
-            self._occurrences = None  # invalidate the lazy indexes
-            self._csr = None
+        index = self._index
+        s, p, o = index.get(subject), index.get(predicate), index.get(obj)
+        if s is None or p is None or o is None:
+            role, node = next(
+                (role, node)
+                for role, node in (("subject", subject), ("predicate", predicate), ("object", obj))
+                if node not in index
+            )
+            raise GraphError(f"{role} {node!r} of edge is not a node of the graph")
+        self.add_edge_ids(s, p, o)
+
+    def add_edge_ids(self, subject: int, predicate: int, obj: int) -> None:
+        """Add the edge between the nodes with these dense ids.
+
+        The form of :meth:`add_edge` for callers that hold dense ids (see
+        :meth:`dense_id`), such as the N-Triples loader.  Raises
+        :class:`GraphError` for an id outside the node table; a duplicate
+        is a no-op.
+        """
+        count = len(self._nodes)
+        if not (0 <= subject < count and 0 <= predicate < count and 0 <= obj < count):
+            raise GraphError(
+                f"edge ({subject}, {predicate}, {obj}) names a dense id "
+                f"outside the {count} nodes of the graph"
+            )
+        keys = self._keys
+        if keys is None:
+            keys = self._edge_keys()
+        key = (subject << 32 | predicate) << 32 | obj  # _edge_key, inlined
+        if key in keys:
+            return
+        keys.add(key)
+        self._subjects.append(subject)
+        self._predicates.append(predicate)
+        self._objects.append(obj)
+        self._csr = None
+        if self._out is not None or self._occurrences is not None:
+            self._index_edge(subject, predicate, obj)
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add many triples at once, in order.
+        """Add many triples, in order, each with :meth:`add_edge`'s checks."""
+        for subject, predicate, obj in edges:
+            self.add_edge(subject, predicate, obj)
 
-        The bulk form of :meth:`add_edge`, with its checks: every endpoint
-        must already be a node, and a duplicate is a no-op.  Each new edge
-        is stored as the tuple it arrived as.
-        """
-        labels = self._labels
-        known = self._edges
+    def _index_edge(self, subject: int, predicate: int, obj: int) -> None:
+        """Enter one new edge into the derived indexes already built."""
+        nodes = self._nodes
+        s, p, o = nodes[subject], nodes[predicate], nodes[obj]
         out = self._out
-        self._occurrences = None  # invalidate the lazy indexes
-        self._csr = None
-        for edge in edges:
-            subject, predicate, obj = edge
-            if subject not in labels or predicate not in labels or obj not in labels:
-                self.add_edge(subject, predicate, obj)  # raises, naming the role
-            size = len(known)
-            known.add(edge)
-            if len(known) == size:  # a duplicate; the size test hashes once
-                continue
-            pairs = out.get(subject)
+        if out is not None:
+            pairs = out.get(s)
             if pairs is None:
-                pairs = out[subject] = set()
-            pairs.add((predicate, obj))
+                pairs = out[s] = set()
+            pairs.add((p, o))
+        occurrences = self._occurrences
+        if occurrences is not None:
+            occurrences.setdefault(p, set()).add(s)
+            occurrences.setdefault(o, set()).add(s)
+
+    def _edge_keys(self) -> set[int]:
+        """The dedup keys of every edge (built from the columns when absent)."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = set(map(_edge_key, *self.edge_columns()))
+        return keys
 
     # ------------------------------------------------------------------
     # Inspection
@@ -153,18 +223,44 @@ class TripleGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._subjects)
 
     def nodes(self) -> Iterator[NodeId]:
-        """Iterate over all node identifiers."""
-        return iter(self._labels)
+        """Iterate over all node identifiers, in dense-id order."""
+        return iter(self._nodes)
+
+    def dense_id(self, node: NodeId) -> int:
+        """*node*'s dense id, its position in :meth:`nodes` order."""
+        try:
+            return self._index[node]
+        except KeyError:
+            raise GraphError(f"unknown node {node!r}") from None
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all (subject, predicate, object) triples."""
-        return iter(self._edges)
+        """Iterate over all (subject, predicate, object) triples, in insertion order."""
+        return zip(*self._node_columns())
+
+    def _node_columns(self) -> tuple[Iterator[NodeId], Iterator[NodeId], Iterator[NodeId]]:
+        """The edge columns read through the id -> node table."""
+        node: Callable[[int], NodeId] = self._nodes.__getitem__
+        subjects, predicates, objects = self.edge_columns()
+        return map(node, subjects), map(node, predicates), map(node, objects)
+
+    def edge_columns(self) -> tuple[array, array, array]:
+        """The subject, predicate and object columns (treat as read-only).
+
+        Entry ``i`` of each is a dense id of edge ``i``, in insertion
+        order; bulk readers (the CSR sort, the union, edge counts) use
+        them instead of term triples.
+        """
+        return self._subjects, self._predicates, self._objects
 
     def has_edge(self, subject: NodeId, predicate: NodeId, obj: NodeId) -> bool:
-        return (subject, predicate, obj) in self._edges
+        index = self._index
+        s, p, o = index.get(subject), index.get(predicate), index.get(obj)
+        if s is None or p is None or o is None:
+            return False
+        return _edge_key(s, p, o) in self._edge_keys()
 
     def label(self, node: NodeId) -> Label:
         """Return ``ℓ_G(node)``."""
@@ -174,14 +270,17 @@ class TripleGraph:
             raise GraphError(f"unknown node {node!r}") from None
 
     def labels(self) -> Mapping[NodeId, Label]:
-        """A read-only view of the labeling function ``ℓ_G``."""
+        """A read-only view of the labeling function ``ℓ_G``, in dense-id order."""
         return self._labels
 
     def out(self, node: NodeId) -> frozenset[OutPair] | set[OutPair]:
         """The outbound neighborhood ``out_G(node)`` as a set of pairs."""
         if node not in self._labels:
             raise GraphError(f"unknown node {node!r}")
-        return self._out.get(node, _EMPTY_OUT)
+        out = self._out
+        if out is None:
+            out = self._build_out()
+        return out.get(node, _EMPTY_OUT)
 
     def out_degree(self, node: NodeId) -> int:
         """``|out_G(node)|`` — the number of distinct (predicate, object) pairs."""
@@ -190,10 +289,24 @@ class TripleGraph:
     def out_index(self) -> Mapping[NodeId, set[OutPair]]:
         """The whole outbound index at once (treat as read-only).
 
-        Bulk consumers (CSR compaction, inbound-index construction) use
-        this to avoid a per-node :meth:`out` call; sinks may be absent.
+        Built from the columns on first use, subjects in the order of
+        their first edge; sinks are absent.  Bulk consumers (inbound-index
+        construction, the reference engine) use this to avoid a per-node
+        :meth:`out` call.
         """
-        return self._out
+        out = self._out
+        return out if out is not None else self._build_out()
+
+    def _build_out(self) -> dict[NodeId, set[OutPair]]:
+        out: dict[NodeId, set[OutPair]] = {}
+        subjects, predicates, objects = self._node_columns()
+        for subject, pair in zip(subjects, zip(predicates, objects)):
+            pairs = out.get(subject)
+            if pairs is None:
+                pairs = out[subject] = set()
+            pairs.add(pair)
+        self._out = out
+        return out
 
     # ------------------------------------------------------------------
     # Node subsets by kind (paper Section 2.1)
@@ -235,7 +348,7 @@ class TripleGraph:
                 blanks += 1
         return GraphStats(
             num_nodes=len(self._labels),
-            num_edges=len(self._edges),
+            num_edges=self.num_edges,
             num_uris=uris,
             num_literals=literals,
             num_blanks=blanks,
@@ -260,15 +373,15 @@ class TripleGraph:
         Bulk consumers (the maintenance closure BFS, the worklist loop of
         the incremental refinement) call this once instead of paying a
         frozenset copy per :meth:`occurrences` query; nodes that occur in
-        no neighborhood are absent.
+        no neighborhood are absent.  Built from the columns on first use.
         """
-        if self._occurrences is None:
-            index: dict[NodeId, set[NodeId]] = {}
-            for subject, predicate, obj in self._edges:
+        index = self._occurrences
+        if index is None:
+            index = self._occurrences = {}
+            for subject, predicate, obj in zip(*self._node_columns()):
                 index.setdefault(predicate, set()).add(subject)
                 index.setdefault(obj, set()).add(subject)
-            self._occurrences = index
-        return self._occurrences
+        return index
 
     # ------------------------------------------------------------------
     # CSR snapshot (for the dense engine)
@@ -300,9 +413,7 @@ class TripleGraph:
         positions in the node order, so any other block would hand each
         node another node's adjacency.
         """
-        if snapshot.num_pairs != len(self._edges) or snapshot.nodes != list(
-            self._labels
-        ):
+        if snapshot.num_pairs != self.num_edges or snapshot.nodes != list(self._nodes):
             raise GraphError(
                 "the CSR snapshot does not list this graph's nodes in the "
                 "graph's order with one pair per edge"
@@ -310,26 +421,30 @@ class TripleGraph:
         self._csr = snapshot
 
     def __getstate__(self) -> tuple[dict[str, object] | None, dict[str, object]]:
-        # The snapshot is derived and may view shared memory or a mapped
-        # file, so a pickle carries the graph alone.
+        # A pickle carries the node table and the columns.  The indexes
+        # are rebuilt on first use, and the snapshot may view shared
+        # memory or a mapped file.
         slots = {
             name: getattr(self, name)
             for cls in type(self).__mro__
             for name in getattr(cls, "__slots__", ())
             if hasattr(self, name)
         }
-        slots["_csr"] = None
+        slots.update(dict.fromkeys(_DERIVED))
         return getattr(self, "__dict__", None), slots
 
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-    def copy(self) -> "TripleGraph":
-        """An independent deep-enough copy (labels/edges are immutable)."""
-        clone = TripleGraph()
-        clone._labels = dict(self._labels)
-        clone._edges = set(self._edges)
-        clone._out = {n: set(pairs) for n, pairs in self._out.items()}
+    def copy(self: _Graph) -> _Graph:
+        """An independent copy of this graph, of the same type.
+
+        The node table and the columns are copied (labels and node
+        identifiers are immutable); the indexes are rebuilt on first use.
+        """
+        clone = shallow_copy(self)  # through __getstate__
+        for name in ("_labels", "_nodes", "_index", "_subjects", "_predicates", "_objects"):
+            setattr(clone, name, shallow_copy(getattr(self, name)))
         return clone
 
     def __repr__(self) -> str:

@@ -154,13 +154,6 @@ class RDFGraph(TripleGraph):
                     f"predicate {predicate!r} is not URI-labeled"
                 )
 
-    def copy(self) -> "RDFGraph":
-        clone = RDFGraph()
-        clone._labels = dict(self._labels)
-        clone._edges = set(self._edges)
-        clone._out = {n: set(pairs) for n, pairs in self._out.items()}
-        return clone
-
 
 def graph_from_triples(triples: Iterable[tuple[Term, Term, Term]]) -> RDFGraph:
     """Build an :class:`RDFGraph` from an iterable of term triples."""

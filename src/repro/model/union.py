@@ -12,11 +12,17 @@ version's ``n1`` nodes are ``0 .. n1-1`` and the target's ``n2`` nodes are
 ``n1 .. n1+n2-1``, each block in its version's node order, so a union id
 is exactly its dense id in :meth:`repro.model.csr.CSRGraph.from_blocks`,
 which :meth:`CombinedGraph.csr` calls on the two versions' own snapshots.
-Partitions of the union are keyed by these ints.  The id contract:
+The union is its labels plus its sides' edge columns, the target's with
+every id offset by ``n1``: construction does no per-edge Python work,
+:meth:`~CombinedGraph.edges` yields int triples straight from the
+columns, and the dict index behind ``out()`` is built from them only
+when the reference engine asks.  Partitions of the union are keyed by
+these ints.  The id contract:
 
 * :meth:`~CombinedGraph.side` reads a node's version from its id range;
 * :meth:`~CombinedGraph.original` reads the node's identifier in its own
-  version from a per-side term table;
+  version from a per-side term table (:meth:`~CombinedGraph.originals`
+  lists both tables in id order);
 * :meth:`~CombinedGraph.from_source` and :meth:`~CombinedGraph.from_target`
   are the only way from a version's identifier to a union id.
 
@@ -24,17 +30,20 @@ All four raise :class:`~repro.exceptions.AlignmentError` for anything
 that is not a node of the union or of the version (bools, other types,
 ids out of range).  Ids follow the input's node order, which is file
 order for parsed graphs, so output that must not depend on file order
-sorts on :meth:`~CombinedGraph.sort_key`, never on the id.
+sorts on :meth:`~CombinedGraph.sort_key`, never on the id.  A union is
+read-only: to change it, change a version and combine again.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Hashable, Iterable
+from array import array
+from itertools import chain, islice
+from typing import Hashable, Iterable, Iterator
 
 from ..exceptions import AlignmentError, GraphError
-from .csr import CSRGraph
-from .graph import NodeId, TripleGraph
+from .csr import CSRGraph, IdentityIndex, concat_shifted
+from .graph import Edge, NodeId, TripleGraph
+from .labels import Label
 
 #: Side markers for the two versions.
 SOURCE = 1
@@ -57,50 +66,71 @@ class CombinedGraph(TripleGraph):
     (3, URI('a'))
     """
 
-    __slots__ = ("_source", "_target", "_split", "_terms", "_lifts", "_side_sets")
+    __slots__ = (
+        "_source", "_target", "_split", "_edge_split", "_edge_count", "_assembled",
+        "_terms", "_lifts", "_side_sets",
+    )
 
     def __init__(self, source: TripleGraph, target: TripleGraph) -> None:
         super().__init__()
         self._source = source
         self._target = target
-        source_terms = self._add_side(SOURCE, source)
+        #: Each side's node identifiers in id order: its term table.
+        self._terms = (list(source.nodes()), list(target.nodes()))
         #: The first target id (``n1``); ids below it are source nodes.
-        self._split = len(source_terms)
-        self._terms = (source_terms, self._add_side(TARGET, target))
+        split = self._split = len(self._terms[0])
+        count = split + len(self._terms[1])
+        self._labels = dict(
+            zip(range(count), chain(source.labels().values(), target.labels().values()))
+        )
+        # Ids are their own nodes: the id -> node table lists the label
+        # keys, so the out-pair index and side sets built from it share
+        # one int object per node, and node -> id is the identity.
+        self._nodes = list(self._labels)
+        self._index = IdentityIndex(count)  # type: ignore[assignment]
+        #: The first target edge; edges below it are source edges.
+        self._edge_split = _checked_edge_count(SOURCE, source, split)
+        self._edge_count = self._edge_split + _checked_edge_count(TARGET, target, count - split)
+        self._assembled = False  # the columns, see edge_columns
+        self._keys = None  # built only if has_edge asks
         # Term -> id maps, built on the first from_source/from_target call:
         # most unions are never asked, and a map per side costs memory.
         self._lifts: list[dict[Hashable, int] | None] = [None, None]
         self._side_sets: list[frozenset[NodeId] | None] = [None, None]
 
-    def _add_side(self, side: int, version: TripleGraph) -> list[Hashable]:
-        """Add *version*'s nodes as the next id block, then its edges.
+    def add_node(self, node: NodeId, label: Label) -> NodeId:
+        raise GraphError("a combined graph is read-only: change a version and combine again")
 
-        Returns the side's term table (its node identifiers in id order).
-        Labels, edges and out-pairs all hold the one int object minted per
-        node, so a union keeps two int tuples per edge (the edge and its
-        out-pair), which the cyclic GC untracks on its first pass.
-        """
-        labels = self._labels
-        lift: dict[Hashable, int] = {}
-        for node_id, (node, label) in enumerate(version.labels().items(), len(labels)):
-            lift[node] = node_id
-            labels[node_id] = label
-        edges = self._edges
-        out = self._out
-        for subject, predicate, obj in version.edges():
-            try:
-                edge = lift[subject], lift[predicate], lift[obj]
-            except KeyError as missing:
-                raise GraphError(
-                    f"edge endpoint {missing.args[0]!r} is not a node of the "
-                    f"{_SIDE_NAMES[side]} graph"
-                ) from None
-            edges.add(edge)
-            pairs = out.get(edge[0])
-            if pairs is None:
-                pairs = out[edge[0]] = set()
-            pairs.add(edge[1:])
-        return list(lift)
+    def add_edge_ids(self, subject: int, predicate: int, obj: int) -> None:
+        raise GraphError("a combined graph is read-only: change a version and combine again")
+
+    @property
+    def num_edges(self) -> int:
+        return self._edge_count
+
+    @property
+    def num_source_edges(self) -> int:
+        """``|E1|``: the first this many edges (and column entries) are source edges."""
+        return self._edge_split
+
+    def edge_columns(self) -> tuple[array, array, array]:
+        """The source's columns, then the target's with every id offset by
+        ``n1``; assembled on first use (the dense engine never asks)."""
+        if not self._assembled:
+            source_edges = self._edge_split
+            target_edges = self._edge_count - source_edges
+            self._subjects, self._predicates, self._objects = (
+                concat_shifted(mine[:source_edges], theirs[:target_edges], self._split)
+                for mine, theirs in zip(
+                    self._source.edge_columns(), self._target.edge_columns()
+                )
+            )
+            self._assembled = True
+        return self._subjects, self._predicates, self._objects
+
+    def edges(self) -> Iterator[Edge]:
+        """The int triples, straight from the columns (source edges first)."""
+        return zip(*self.edge_columns())
 
     def csr(self) -> CSRGraph:
         """The union's snapshot, assembled once from its sides' snapshots.
@@ -114,7 +144,7 @@ class CombinedGraph(TripleGraph):
             snapshot = CSRGraph.from_blocks(self._source.csr(), self._target.csr())
             if (
                 snapshot.num_nodes != len(self._labels)
-                or snapshot.num_pairs != len(self._edges)
+                or snapshot.num_pairs != self.num_edges
             ):
                 raise GraphError(
                     "a version graph changed after the union was built; "
@@ -157,11 +187,8 @@ class CombinedGraph(TripleGraph):
             raise AlignmentError(f"unknown side {side!r} (expected 1 or 2)")
         nodes = self._side_sets[side - 1]
         if nodes is None:
-            # Read the ids off the label keys, which share their int objects.
             start, stop = (0, self._split) if side == SOURCE else (self._split, None)
-            nodes = self._side_sets[side - 1] = frozenset(
-                islice(self._labels, start, stop)
-            )
+            nodes = self._side_sets[side - 1] = frozenset(islice(self._nodes, start, stop))
         return nodes
 
     def _checked(self, node: NodeId) -> int:
@@ -185,6 +212,15 @@ class CombinedGraph(TripleGraph):
         if node_id < self._split:
             return self._terms[0][node_id]
         return self._terms[1][node_id - self._split]
+
+    def originals(self) -> Iterator[Hashable]:
+        """Every node's identifier in its own version, in union-id order.
+
+        The bulk form of :meth:`original` for a renderer that visits every
+        node: the two term tables one after the other, with no per-node
+        check.
+        """
+        return chain(*self._terms)
 
     def sort_key(self, node: NodeId) -> str:
         """The text listings sort union ids by: ``repr((side, original))``.
@@ -216,6 +252,20 @@ class CombinedGraph(TripleGraph):
             except (KeyError, TypeError):  # TypeError: unhashable
                 pass
         raise AlignmentError(f"{node!r} is not a node of the {_SIDE_NAMES[side]} graph")
+
+
+def _checked_edge_count(side: int, version: TripleGraph, count: int) -> int:
+    """*version*'s edge count, once its columns are checked against its
+    *count* nodes: an id outside ``0 .. count-1`` would name a node of
+    the other side, or none, once offset into the union."""
+    columns = version.edge_columns()
+    for column in columns:
+        if column and not (min(column) >= 0 and max(column) < count):
+            raise GraphError(
+                f"an edge of the {_SIDE_NAMES[side]} graph names a dense id "
+                f"outside its {count} nodes"
+            )
+    return len(columns[0])
 
 
 def combine(source: TripleGraph, target: TripleGraph) -> CombinedGraph:

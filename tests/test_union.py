@@ -75,6 +75,14 @@ class TestErrors:
         with pytest.raises(AlignmentError):
             union.side_nodes(3)
 
+    def test_union_is_read_only(self, versions):
+        union = combine(*versions)
+        with pytest.raises(GraphError, match="read-only"):
+            union.add_node(union.num_nodes, uri("new"))
+        with pytest.raises(GraphError, match="read-only"):
+            union.add_edge(0, 1, 5)
+        assert union.num_nodes == 6 and union.num_edges == 2
+
 
 class TestIntIds:
     """Union ids are the CSR dense ids: source block, then target block."""
@@ -86,6 +94,7 @@ class TestIntIds:
         assert union.num_source_nodes == 3
         assert [union.original(node) for node in range(3)] == list(g1.nodes())
         assert [union.original(node) for node in range(3, 6)] == list(g2.nodes())
+        assert list(union.originals()) == [*g1.nodes(), *g2.nodes()]
         assert [union.side(node) for node in union.nodes()] == [SOURCE] * 3 + [TARGET] * 3
         csr = CSRGraph.from_blocks(CSRGraph(g1), CSRGraph(g2))
         assert list(csr.nodes) == list(union.nodes())
@@ -111,15 +120,18 @@ class TestIntIds:
                 lift(True)
 
     def test_union_tuples_and_label_partition_leave_the_gc(self):
+        """The union stores no GC-tracked object per edge (its edges are
+        int columns), and the label partition's color dict is untracked."""
         source = _graph([(uri(f"s{i}"), uri("p"), lit(f"v{i}")) for i in range(300)])
         target = _graph([(blank(f"b{i}"), uri("p"), uri(f"s{i}")) for i in range(300)])
+        gc.collect()
+        before = len(gc.get_objects())
         union = combine(source, target)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 16  # the union holds 600 edges
+        assert union.num_edges == 600
         partition = label_partition(union, ColorInterner())
         gc.collect()
-        assert not any(gc.is_tracked(edge) for edge in union.edges())
-        assert not any(
-            gc.is_tracked(pair) for pairs in union.out_index().values() for pair in pairs
-        )
         assert not gc.is_tracked(partition._colors)
 
 
@@ -185,6 +197,9 @@ class TestLiftOnce:
         oracle = _per_element_union(source, target, lifts)
         assert list(union.labels().items()) == list(oracle.labels().items())
         assert set(union.edges()) == set(oracle.edges())
+        source_edges = list(union.edges())[: union.num_source_edges]
+        assert union.num_source_edges == source.num_edges
+        assert all(union.side(subject) == SOURCE for subject, _, _ in source_edges)
         assert list(union.out_index().items()) == list(oracle.out_index().items())
         assert union.source_nodes == {union.from_source(node) for node in source.nodes()}
         assert union.target_nodes == {union.from_target(node) for node in target.nodes()}
@@ -196,22 +211,40 @@ class TestLiftOnce:
     @settings(max_examples=40, deadline=None)
     @given(source=_VERSIONS, target=_VERSIONS)
     def test_each_node_is_one_shared_tuple(self, source, target):
-        """Every reference to a node is the one int object minted for it."""
-        union = combine(source, target)
-        lifted = {node: node for node in union.nodes()}
-        for edge in union.edges():
-            assert all(lifted[node] is node for node in edge)
+        """The node list, the out-pair index and the side sets hold the one
+        int object minted per node (a label key); ``edges()`` reads the
+        columns.  The source is padded so that the drawn nodes' ids lie
+        past CPython's cache of small ints, where a fresh int would show."""
+        padded = RDFGraph()
+        for i in range(300):
+            padded.term(uri(f"pad{i}"))
+        padded.add_all(source.triples())
+        union = combine(padded, target)
+        lifted = {node: node for node in union.labels()}
+        assert set(union.edges()) == {
+            (union.from_source(s), union.from_source(p), union.from_source(o))
+            for s, p, o in source.triples()
+        } | {
+            (union.from_target(s), union.from_target(p), union.from_target(o))
+            for s, p, o in target.triples()
+        }
         for subject, pairs in union.out_index().items():
             assert lifted[subject] is subject
             for predicate, obj in pairs:
                 assert lifted[predicate] is predicate and lifted[obj] is obj
-        for node in union.source_nodes | union.target_nodes:
+        for node in [*union.nodes(), *union.source_nodes, *union.target_nodes]:
             assert lifted[node] is node
 
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_edge_to_a_non_node_raises(self, side):
-        broken = _graph([(uri("a"), uri("p"), lit("v"))])
-        broken._edges.add((uri("a"), uri("p"), uri("ghost")))
-        versions = {"source": (broken, RDFGraph()), "target": (RDFGraph(), broken)}[side]
-        with pytest.raises(GraphError, match="ghost"):
-            combine(*versions)
+        """A version whose columns name an id outside its node table
+        cannot be combined: in the union that id would be a node of the
+        other side, or no node at all."""
+        for column in range(3):
+            for bad in (3, 4, -1):  # the version has 3 nodes, ids 0..2
+                broken = _graph([(uri("a"), uri("p"), lit("v"))])
+                broken.edge_columns()[column][0] = bad
+                other = _graph([(uri("b"), uri("q"), lit("w"))])
+                versions = {"source": (broken, other), "target": (other, broken)}[side]
+                with pytest.raises(GraphError, match=f"{side} graph"):
+                    combine(*versions)
