@@ -13,7 +13,7 @@ the timings themselves are recorded, never gated — a k-sweep on a
 
 **Cell-matrix pool gate** — the all-pairs ``kbisim`` count matrix
 (:func:`~repro.experiments.cells.kbisim_counts_cell`) through the
-shared-memory store pool: byte-identical rows at jobs ∈ {1, 2, 4}, no
+store pool: byte-identical rows at jobs ∈ {1, 2, 4}, no
 leaked ``/dev/shm`` segments, and — on machines with ≥ 4 usable CPUs,
 where the workload is sized so the serial matrix takes ≥ 5 s — jobs=4
 is ≥ 2× over jobs=1.  On smaller machines a small matrix is run and the
@@ -34,7 +34,7 @@ from repro.core.bisimulation import bisimulation_partition
 from repro.core.ksignature import SignatureStats, ksignature_partition
 from repro.experiments.cells import kbisim_counts_cell
 from repro.experiments.parallel import run_store_cells, usable_cpus
-from repro.experiments.shm import list_segments, shm_available
+from repro.experiments.shm import list_segments
 from repro.experiments.store import GENERATOR_FAMILIES, VersionStore
 from repro.partition.interner import ColorInterner
 
@@ -145,8 +145,6 @@ def _matrix_measure(scale: float, versions: int, jobs: int) -> tuple[float, list
 def test_kbisim_matrix_pool_gate(results_dir):
     """All-pairs kbisim counts through the store pool: identical rows at
     jobs ∈ {1, 2, 4}, no leaked segments, ≥ 2× at jobs=4 on ≥ 4 CPUs."""
-    assert shm_available(), "POSIX shared memory is required for this bench"
-
     cpus = usable_cpus()
     gate_active = cpus >= POOL_GATE_CPUS
     scale, versions = (

@@ -1,4 +1,4 @@
-"""Batch execution: snapshot reuse + shared-memory fan-out.
+"""Batch execution: snapshot reuse + the store worker pool.
 
 Two workloads, two acceptance surfaces:
 
@@ -8,16 +8,18 @@ a Figure-11-style deblank count grid — two figures sharing one dataset,
 exactly the cross-figure redundancy the store eliminates) plus a
 Figure-13-style consecutive-pair sweep (hybrid + overlap counts over a
 GtoPdb chain).  Gates: snapshot reuse (store, jobs=1) is ≥ 1.3× over the
-per-cell seed path, and ≥ 2× end to end.
+per-cell seed path, and ≥ 2× end to end.  Next to the timing gate, a
+work-count check pins what the speedup rests on: the store refines each
+EFO version's blank nodes once, the seed path once per cell.
 
-**Shared-memory pool (jobs=N vs jobs=1)** — a scale-free synthetic
-all-pairs matrix sized so the serial run takes ≥ 5 s, executed through
-:func:`~repro.experiments.parallel.run_store_cells`: the parent
-publishes the store once into named shm segments, persistent workers
-attach by name, and only ``(cell, manifest, index)`` crosses the process
-boundary.  Gates: results byte-identical at jobs ∈ {1, 2, 4}, no leaked
-``/dev/shm`` segments, and — on machines with ≥ 4 usable CPUs — jobs=4
-is ≥ 2× over jobs=1.  On smaller machines the ratio is recorded
+**Store pool (jobs=N vs jobs=1)** — a scale-free synthetic all-pairs
+matrix sized so the serial run takes ≥ 5 s, executed through
+:func:`~repro.experiments.parallel.run_store_cells`: persistent workers
+get the store itself (inherited under ``fork``, pickled once per worker
+under ``spawn``), and only ``(cell, item, index)`` crosses the process
+boundary per task.  Gates: results byte-identical at jobs ∈ {1, 2, 4},
+no leaked ``/dev/shm`` segments, and — on machines with ≥ 4 usable CPUs
+— jobs=4 is ≥ 2× over jobs=1.  On smaller machines the ratio is recorded
 (with the ``cpus`` context field) but not gated: a 1-CPU box cannot
 honestly run four workers faster than one.
 
@@ -32,6 +34,7 @@ import time
 
 from repro.align import AlignConfig
 from repro.core.deblank import deblank_partition
+from repro.core.dense import REFINEMENT_ENGINES
 from repro.core.hybrid import hybrid_partition
 from repro.core.trivial import trivial_partition
 from repro.datasets import EFOGenerator, GtoPdbGenerator
@@ -40,13 +43,14 @@ from repro.evaluation.metrics import (
     aligned_edge_ratio,
     matched_entity_count,
 )
+from repro.experiments import store as store_module
 from repro.experiments.cells import method_counts_cell
 from repro.experiments.parallel import (
     fork_available,
     run_store_cells,
     usable_cpus,
 )
-from repro.experiments.shm import list_segments, shm_available
+from repro.experiments.shm import list_segments
 from repro.experiments.store import GENERATOR_FAMILIES, VersionStore
 from repro.model.union import combine
 from repro.partition.interner import ColorInterner
@@ -61,7 +65,7 @@ THETA = 0.65
 REQUIRED_SERIAL_SPEEDUP = 1.3
 REQUIRED_END_TO_END_SPEEDUP = 2.0
 
-#: The shm-pool workload: a scale-free synthetic history big enough that
+#: The pool workload: a scale-free synthetic history big enough that
 #: the all-pairs hybrid+overlap matrix takes ≥ MIN_SERIAL_SECONDS
 #: serially — the floor that makes the jobs=4 gate a statement about
 #: sustained throughput rather than pool start-up noise.
@@ -240,11 +244,38 @@ def test_parallel_runner_speedup(results_dir):
     )
 
 
+def _count_blank_refinements(monkeypatch, path) -> int:
+    """How many reference fixpoint runs of *path* refine a graph's blanks."""
+    reference = REFINEMENT_ENGINES["reference"]
+    calls: list = []
+
+    def counted(graph, partition, subset=None, *args, **kwargs):
+        if subset and set(subset) == graph.blanks():
+            calls.append(1)
+        return reference(graph, partition, subset, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(REFINEMENT_ENGINES, "reference", counted)
+        # The per-version summaries call the fixpoint by name.
+        patch.setattr(store_module, "bisim_refine_fixpoint", counted)
+        path()
+    return len(calls)
+
+
+def test_parallel_runner_refinement_counts(monkeypatch):
+    """The work the speedup gate times: the store path refines each EFO
+    version's blank nodes once, the seed path once per cell of its two
+    EFO grids (the GtoPdb chain has no blank nodes)."""
+    cells = EFO_VERSIONS * (EFO_VERSIONS + 1) // 2
+    assert _count_blank_refinements(monkeypatch, store_path) == EFO_VERSIONS
+    assert _count_blank_refinements(monkeypatch, seed_path) == 2 * cells
+
+
 # ----------------------------------------------------------------------
-# The shared-memory pool gate (jobs=N vs jobs=1 on one published store)
+# The store pool gate (jobs=N vs jobs=1 on one store)
 # ----------------------------------------------------------------------
 def _fresh_shm_store() -> VersionStore:
-    """A cold store over the (cached) shm workload generator.
+    """A cold store over the (cached) pool workload generator.
 
     The generator is shared so graph synthesis is paid once per session;
     the store itself is rebuilt per measurement so every run derives its
@@ -278,10 +309,8 @@ def _shm_measure(jobs: int) -> tuple[float, list]:
 
 
 def test_shm_pool_gate(results_dir):
-    """jobs ∈ {1, 2, 4} over one published store: identical bytes, no
+    """jobs ∈ {1, 2, 4} over one store: identical bytes, no
     leaked segments, and ≥ 2× at jobs=4 on machines with ≥ 4 CPUs."""
-    assert shm_available(), "POSIX shared memory is required for this bench"
-
     seconds: dict[int, float] = {}
     results: dict[int, list] = {}
     for jobs in (1, 2, 4):
@@ -295,7 +324,7 @@ def test_shm_pool_gate(results_dir):
             f"jobs={jobs} results differ from serial"
         )
 
-    # Cleanup contract: every pool unlinked its segments on close.
+    # Leak contract: no pooled run creates a segment.
     leaked = list_segments()
     assert leaked == [], f"leaked shm segments: {leaked}"
 
@@ -311,7 +340,7 @@ def test_shm_pool_gate(results_dir):
 
     lines = [
         "",
-        "Shared-memory pool on the synthetic all-pairs workload "
+        "Store pool on the synthetic all-pairs workload "
         f"({SHM_FAMILY} @ scale {SHM_SCALE}, "
         f"{SHM_VERSIONS}x{SHM_VERSIONS} matrix)",
         "",

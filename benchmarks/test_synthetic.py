@@ -1,10 +1,11 @@
 """Generator timings for the synthetic workload scenarios.
 
 Each pinned differential scenario is generated once per run and its
-wall-clock appended to ``results/bench.json`` (name
-``synthetic/generate/<scenario>``), so the performance trajectory also
-tracks the cost of the test-surface generator itself — a generator slow
-enough to dominate the oracle would silently shrink scenario coverage.
+wall-clock appended to ``results/bench.json`` by the ``benchmark``
+fixture's autouse recorder (name ``test_generate_scenario[<scenario>]``),
+so the performance trajectory also tracks the cost of the test-surface
+generator itself — a generator slow enough to dominate the oracle would
+silently shrink scenario coverage.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 
 from repro.datasets.synthetic import SCENARIOS, SyntheticConfig, SyntheticGenerator
 
-from .conftest import record_bench, run_once
+from .conftest import run_once
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -29,9 +30,6 @@ def test_generate_scenario(benchmark, results_dir, scenario):
     graphs = run_once(benchmark, generate)
     assert len(graphs) == config.versions
     assert all(graph.num_edges > 0 for graph in graphs)
-    record_bench(
-        f"synthetic/generate/{scenario}", benchmark.stats.stats.mean
-    )
 
 
 def test_generate_scaled_history(benchmark, results_dir):
@@ -46,4 +44,3 @@ def test_generate_scaled_history(benchmark, results_dir):
 
     graphs = run_once(benchmark, generate)
     assert graphs[0].num_edges > 200
-    record_bench("synthetic/generate/scale_free_300", benchmark.stats.stats.mean)

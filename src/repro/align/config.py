@@ -95,12 +95,6 @@ class AlignConfig:
         Seconds a single experiment cell may run in a pool worker
         before the parent kills the pool and retries (``None`` = no
         timeout).  Also guards the autotune overhead probe.
-    verify_checksums:
-        When ``True`` (default), :class:`~repro.experiments.persist.
-        DiskBackend` verifies each block's CRC32 + byte count against
-        the manifest on every read, raising
-        :class:`~repro.exceptions.CorruptStoreError` on mismatch;
-        ``False`` skips verification (trusted local archives).
     """
 
     method: str = "hybrid"
@@ -114,7 +108,6 @@ class AlignConfig:
     backend: str | None = None
     retries: int = 2
     cell_timeout: float | None = None
-    verify_checksums: bool = True
 
     def __post_init__(self) -> None:
         from ..core.dense import resolve_refine_engine
@@ -181,10 +174,6 @@ class AlignConfig:
                 raise ConfigError(
                     f"cell_timeout must be positive or None, got {self.cell_timeout!r}"
                 )
-        if not isinstance(self.verify_checksums, bool):
-            raise ConfigError(
-                f"verify_checksums must be a boolean, got {self.verify_checksums!r}"
-            )
 
     # ------------------------------------------------------------------
     def evolve(self, **changes: object) -> "AlignConfig":
@@ -227,5 +216,4 @@ class AlignConfig:
             "backend": self.backend,
             "retries": self.retries,
             "cell_timeout": self.cell_timeout,
-            "verify_checksums": self.verify_checksums,
         }

@@ -599,15 +599,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
-        # A Ctrl-C mid-pooled-run must not leak published /dev/shm
-        # segments (the pool's context manager may not get to unwind if
-        # the interrupt lands between frames) — unlink them here, report
-        # the POSIX convention code instead of a traceback.
-        from .experiments.shm import cleanup_registries
-
-        cleaned = cleanup_registries()
-        suffix = f" ({cleaned} shared-memory registr{'y' if cleaned == 1 else 'ies'} unlinked)" if cleaned else ""
-        print(f"interrupted{suffix}", file=sys.stderr)
+        # The POSIX convention code instead of a traceback.
+        print("interrupted", file=sys.stderr)
         return 130
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

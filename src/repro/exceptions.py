@@ -110,10 +110,10 @@ class TransientError(AlignError):
 class WorkerCrashError(TransientError):
     """A pool worker died mid-cell (SIGKILL, OOM, hard crash).
 
-    Transient by classification: the parent re-publishes the shared
-    segments and re-runs only the lost cells (bounded by the retry
-    budget), then degrades to serial in-process execution — the cell
-    itself is deterministic, so the crash says nothing about the input.
+    Transient by classification: the parent starts a fresh pool and
+    re-runs only the lost cells (bounded by the retry budget), then
+    degrades to serial in-process execution — the cell itself is
+    deterministic, so the crash says nothing about the input.
     """
 
 

@@ -1,4 +1,4 @@
-"""Module-level matrix-cell functions for the shared-memory pool.
+"""Module-level matrix-cell functions for the store worker pool.
 
 :func:`~repro.experiments.parallel.run_store_cells` ships its cell
 callable to the workers *by reference* (module + qualified name), which
@@ -128,7 +128,7 @@ def entity_counts_cell(store, config, index: int) -> dict:
 def precision_rows_cell(store, config, index: int) -> list[dict]:
     """Figure 14: hybrid and overlap precision rows of one consecutive pair.
 
-    The pair's ground truth must be warm in the store (published stores
+    The pair's ground truth must be warm in the store (a pickled store
     cannot compute it).
     """
     config = config or _DEFAULT_CONFIG

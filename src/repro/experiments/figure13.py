@@ -30,8 +30,8 @@ def run(
     config = config or AlignConfig()
     store = VersionStore.shared("gtopdb", scale=scale, seed=seed, versions=versions)
     store.prepare(summaries=True, csr=config.engine == "dense")
-    # Ground truth is generator-derived, not part of a published store:
-    # warm it here so pool workers find it in the shared manifest.
+    # Ground truth is generator-derived: warm it here so a spawn pool
+    # worker finds it in the pickled store.
     for index in range(versions - 1):
         store.ground_truth(index, index + 1)
 

@@ -38,8 +38,8 @@ def run(
     store = VersionStore.shared("gtopdb", scale=scale, seed=seed, versions=versions)
     pair = (source_version - 1, source_version)
     store.prepare(versions=pair, summaries=True, csr=config.engine == "dense")
-    # Ground truth is generator-derived, not part of a published store:
-    # warm it here so pool workers find it in the shared manifest.  The
+    # Ground truth is generator-derived: warm it here so a spawn pool
+    # worker finds it in the pickled store.  The
     # hybrid base is theta-independent and memoized per process; each
     # theta clones its interner.
     store.ground_truth(*pair)

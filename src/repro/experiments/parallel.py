@@ -5,21 +5,21 @@ alignment runs: independent work over immutable, prepared state.
 :class:`SharedStorePool` is the single executor that fans such work out
 over worker processes:
 
-* the parent publishes a *state* object into named
-  ``multiprocessing.shared_memory`` segments **once**.  Any object with
-  a ``publish_shared(registry) -> manifest`` method and a
-  ``from_manifest(manifest)`` classmethod qualifies, as
-  :class:`~repro.experiments.store.VersionStore` does for figure and
-  oracle cells;
-* a persistent pool of workers rebuilds that state by segment name in
-  its initializer (``type(state).from_manifest(manifest)``; CSR index
-  arrays come back as zero-copy numpy views), so only ``(cell,
-  items_manifest, index)`` ever crosses the process boundary per task;
+* the pool hands its workers the *state* object itself (a
+  :class:`~repro.experiments.store.VersionStore` for figure and oracle
+  cells) through the worker initializer.  Under ``fork`` each worker
+  inherits the parent's state: nothing is pickled or copied.  Under
+  ``spawn`` multiprocessing pickles it once per worker
+  (``VersionStore.__reduce__`` ships the version graphs, their built CSR
+  blocks and the once-per-version caches, never the per-pair memos);
+* each task carries only ``(cell, item, index)``;
 * cells are module-level ``(state, config, item)`` functions, pickled
   by reference (:mod:`repro.experiments.cells`), which is what lets the
   pool run under the ``spawn`` start method as well as ``fork``;
 * results merge in item order, so ``jobs=4`` produces byte-identical
   reports to ``jobs=1``.
+
+No pooled run creates a shared-memory segment.
 
 :func:`run_store_cells` is the scheduling front door for cell grids:
 it adds overhead-aware scheduling, retry and serial degradation on top
@@ -32,21 +32,19 @@ Forking at a loss is the failure mode this module replaces (the old
 per-call fork pool re-pickled graphs until ``jobs=4`` ran 2.3x *slower*
 than serial).  :func:`effective_jobs` therefore refuses to shard when
 the projected parallel saving — ``est_cell_seconds × cells × (1 −
-1/workers)`` against the *measured* pool start/attach overhead
+1/workers)`` against the *measured* pool start-up overhead
 (:func:`pool_overhead`) — cannot pay for the pool.
 :func:`run_store_cells` autotunes the estimate by timing the first cell
 when the caller has none.
 
-Cleanup guarantees
-------------------
+Shutdown
+--------
 
-The pool owns one :class:`~repro.experiments.shm.ShmRegistry`; its
-``close()`` (and context-manager exit) first drains the workers, then
-unlinks every published segment — on success, on exception, and after a
-worker crash (a killed worker surfaces as ``BrokenProcessPool`` and the
-``finally`` path still unlinks).  An interrupt (``KeyboardInterrupt`` /
-``SystemExit``) inside the ``with`` block SIGKILLs the workers before
-unlinking.  No run leaks ``/dev/shm`` entries.
+:meth:`SharedStorePool.close` (and context-manager exit) drains the
+workers on success, on exception, and after a worker crash (a killed
+worker surfaces as ``BrokenProcessPool``).  An interrupt
+(``KeyboardInterrupt`` / ``SystemExit``) inside the ``with`` block
+SIGKILLs the workers first.
 
 Fault tolerance
 ---------------
@@ -56,9 +54,9 @@ transient pool failures (see ``docs/robustness.md``):
 
 * a crashed worker (``BrokenProcessPool``) or a cell exceeding
   ``config.cell_timeout`` abandons the *pool*, not the *run* — completed
-  results are kept, the state is re-published into fresh segments, and
-  only the lost cells are re-submitted, under an exponential-backoff
-  budget of ``config.retries`` attempts;
+  results are kept, a fresh pool starts, and only the lost cells are
+  re-submitted, under an exponential-backoff budget of
+  ``config.retries`` attempts;
 * when the budget is spent, the run **degrades to serial** in-process
   execution of the remaining cells and records a structured
   :class:`~repro.robustness.retry.DegradationEvent` out of band —
@@ -88,12 +86,11 @@ from typing import Callable, Sequence
 from ..exceptions import ExperimentError, TransientError, WorkerCrashError
 from ..robustness import faults
 from ..robustness.retry import DegradationEvent, RetryPolicy, record_event
-from .shm import ShmRegistry, attach_pickle, shm_available
 
 #: Set inside pool workers so nested pools stay serial.
 _IN_WORKER = False
 
-#: Measured pool start/attach overhead in seconds (``None`` = not yet
+#: Measured pool start-up overhead in seconds (``None`` = not yet
 #: measured).  Tests monkeypatch this to pin scheduling decisions.
 _MEASURED_OVERHEAD: float | None = None
 
@@ -195,7 +192,7 @@ def fork_available() -> bool:
 
 
 # ----------------------------------------------------------------------
-# The shared-memory pool (fork and spawn)
+# The store pool (fork and spawn)
 # ----------------------------------------------------------------------
 
 #: Worker-side state, set once by the pool initializer.
@@ -206,18 +203,12 @@ _WORKER_CONFIG = None
 #: fault plans target "the first run only" so retries proceed cleanly.
 _WORKER_ATTEMPT = 0
 
-#: Worker-side cache of the current map call's attached item list,
-#: keyed by its segment name (one live map at a time).
-_WORKER_ITEMS: dict = {}
 
+def _pool_init(state, config, fault_plan=None, attempt: int = 0) -> None:
+    """Worker initializer: keep the state the pool was handed.
 
-def _pool_init(state_type: type, manifest: dict, config, fault_plan=None,
-               attempt: int = 0) -> None:
-    """Worker initializer: rebuild the published state exactly once.
-
-    Runs in every worker under both start methods — *state_type* pickles
-    by reference and the manifest is a small picklable dict of segment
-    names, so nothing heavy crosses the ``spawn`` boundary either.
+    Under ``fork`` *state* is the parent's own object, inherited with
+    the process; under ``spawn`` it arrives pickled, once per worker.
     *fault_plan* (a picklable :class:`~repro.robustness.faults.FaultPlan`,
     normally ``None``) arms seeded fault injection inside the worker;
     *attempt* is the parent's retry attempt number, exposed to the
@@ -227,41 +218,29 @@ def _pool_init(state_type: type, manifest: dict, config, fault_plan=None,
     _IN_WORKER = True
     faults.install(fault_plan)
     _WORKER_ATTEMPT = attempt
-    _WORKER_STATE = state_type.from_manifest(manifest)
+    _WORKER_STATE = state
     _WORKER_CONFIG = config
 
 
-def _pool_invoke(cell: Callable, items_manifest: dict, index: int):
-    """One cell, executed in a pool worker against the attached state."""
+def _pool_invoke(cell: Callable, item, index: int):
+    """One cell, executed in a pool worker against its state."""
     if faults.ACTIVE is not None:
         faults.fire("worker.cell", index=index, attempt=_WORKER_ATTEMPT)
-    key = items_manifest.get("name") or ""
-    items = _WORKER_ITEMS.get(key)
-    if items is None:
-        items = attach_pickle(items_manifest)
-        _WORKER_ITEMS.clear()  # previous map's items are dead weight
-        _WORKER_ITEMS[key] = items
-    return cell(_WORKER_STATE, _WORKER_CONFIG, items[index])
+    return cell(_WORKER_STATE, _WORKER_CONFIG, item)
 
 
 class SharedStorePool:
-    """A persistent worker pool attached to one published state.
+    """A persistent worker pool sharing one state object.
 
-    *state* is any object with ``publish_shared(registry) -> manifest``
-    and a ``from_manifest(manifest)`` classmethod (a
-    :class:`~repro.experiments.store.VersionStore`).  The
-    constructor publishes it into a private
-    :class:`~repro.experiments.shm.ShmRegistry` and starts *jobs*
-    workers whose initializer rebuilds it with
-    ``type(state).from_manifest(manifest)``; every subsequent
-    :meth:`map` call ships only a cell callable (pickled by reference —
-    use module-level functions, see :mod:`repro.experiments.cells`), the
-    item list (published once as a single shm pickle) and per-task
-    integer indices.
+    *state* (a :class:`~repro.experiments.store.VersionStore`) goes to
+    every worker through the pool initializer: inherited under
+    ``fork``, pickled once per worker under ``spawn``.  Every
+    :meth:`map` call then ships only a cell callable (pickled by
+    reference — use module-level functions, see
+    :mod:`repro.experiments.cells`), one item and its index per task.
 
-    Use as a context manager; :meth:`close` drains the workers and
-    unlinks every segment, and runs on success, exception and worker
-    crash alike.
+    Use as a context manager; :meth:`close` drains the workers on
+    success, exception and worker crash alike.
     """
 
     def __init__(
@@ -273,8 +252,6 @@ class SharedStorePool:
         fault_plan=None,
         attempt: int = 0,
     ) -> None:
-        if not shm_available():  # pragma: no cover - POSIX-only fallback
-            raise ExperimentError("shared memory is not available on this platform")
         if jobs < 1:
             raise ExperimentError(f"a pool needs at least one worker, got {jobs}")
         method = context or ("fork" if fork_available() else "spawn")
@@ -286,28 +263,19 @@ class SharedStorePool:
             # Forward the parent's armed plan so worker-side sites fire
             # under fork and spawn alike (plans are picklable).
             fault_plan = faults.active_plan()
-        self._registry = ShmRegistry()
-        self._pool: ProcessPoolExecutor | None = None
-        try:
-            if faults.ACTIVE is not None:
-                faults.fire("pool.start", attempt=attempt)
-            manifest = state.publish_shared(self._registry)
-            self._pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context(method),
-                initializer=_pool_init,
-                initargs=(type(state), manifest, config, fault_plan, attempt),
-            )
-        except BaseException:
-            self.close()
-            raise
+        if faults.ACTIVE is not None:
+            faults.fire("pool.start", attempt=attempt)
+        self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_pool_init,
+            initargs=(state, config, fault_plan, attempt),
+        )
 
     def map(self, cell: Callable, items: Sequence) -> list:
         """``[cell(state, config, item) for item in items]`` in the pool.
 
-        Deterministic merge: results come back in item order.  The item
-        list is published once into a transient segment that is unlinked
-        as soon as every result is in.
+        Deterministic merge: results come back in item order.
         """
         items = list(items)
         done, error = self.map_partial(cell, items, range(len(items)))
@@ -343,55 +311,50 @@ class SharedStorePool:
         if self._pool is None:
             raise ExperimentError("the pool is closed")
         error: BaseException | None = None
-        with ShmRegistry() as transient:
-            manifest = transient.publish_pickle(items)
-            futures = []
-            for index in pending:
-                try:
-                    future = self._pool.submit(_pool_invoke, cell, manifest, index)
-                except BrokenProcessPool as crash:
-                    # A worker died before this cell was submitted: report
-                    # the crash through the same path as a running cell.
-                    future = Future()
-                    future.set_exception(crash)
-                futures.append((index, future))
-            for index, future in futures:
-                if error is not None:
-                    future.cancel()
-                    continue
-                try:
-                    done[index] = future.result(timeout=timeout)
-                except BrokenProcessPool as crash:
-                    error = WorkerCrashError(
-                        f"a pool worker died while running cell {index} "
-                        f"(attempt {self.attempt})"
-                    )
-                    error.__cause__ = crash
-                except FutureTimeoutError:
-                    error = TransientError(
-                        f"cell {index} exceeded cell_timeout={timeout}s "
-                        f"(attempt {self.attempt}); killing the pool"
-                    )
-                    error.reason = "cell-timeout"  # type: ignore[attr-defined]
-                    _kill_pool_workers(self._pool)
-                except (TransientError, OSError) as transient_error:
-                    error = transient_error
+        futures = []
+        for index in pending:
+            try:
+                future = self._pool.submit(_pool_invoke, cell, items[index], index)
+            except BrokenProcessPool as crash:
+                # A worker died before this cell was submitted: report
+                # the crash through the same path as a running cell.
+                future = Future()
+                future.set_exception(crash)
+            futures.append((index, future))
+        for index, future in futures:
+            if error is not None:
+                future.cancel()
+                continue
+            try:
+                done[index] = future.result(timeout=timeout)
+            except BrokenProcessPool as crash:
+                error = WorkerCrashError(
+                    f"a pool worker died while running cell {index} "
+                    f"(attempt {self.attempt})"
+                )
+                error.__cause__ = crash
+            except FutureTimeoutError:
+                error = TransientError(
+                    f"cell {index} exceeded cell_timeout={timeout}s "
+                    f"(attempt {self.attempt}); killing the pool"
+                )
+                error.reason = "cell-timeout"  # type: ignore[attr-defined]
+                _kill_pool_workers(self._pool)
+            except (TransientError, OSError) as transient_error:
+                error = transient_error
         return done, error
 
     def close(self, kill: bool = False) -> None:
-        """Drain the workers and unlink every published segment.
+        """Drain the workers.
 
         ``kill=True`` SIGKILLs the workers first — the KeyboardInterrupt
         and hung-cell paths, where waiting on them could block forever.
         """
-        try:
-            if self._pool is not None:
-                if kill:
-                    _kill_pool_workers(self._pool)
-                self._pool.shutdown(wait=True)
-                self._pool = None
-        finally:
-            self._registry.unlink()
+        if self._pool is not None:
+            if kill:
+                _kill_pool_workers(self._pool)
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def __enter__(self) -> "SharedStorePool":
         return self
@@ -465,8 +428,7 @@ def _pooled_with_recovery(
     """Pool execution with bounded retry and serial degradation.
 
     Attempts the pending cells up to ``policy.attempts`` times — each
-    attempt re-publishes the state into fresh segments (the old pool may
-    have died with them attached) and re-submits **only** the cells that
+    attempt starts a fresh pool and re-submits **only** the cells that
     have no result yet.  Transient failures (worker crash, cell timeout,
     pool-start I/O error) consume one attempt after an exponential
     backoff; anything else propagates.  A spent budget degrades the
@@ -532,11 +494,12 @@ def run_store_cells(
     force: bool = False,
     events: list | None = None,
 ) -> list:
-    """``[cell(store, config, item) for item in items]``, shm-sharded.
+    """``[cell(store, config, item) for item in items]``, pool-sharded.
 
-    *store* is any state :class:`SharedStorePool` can publish; *cell*
-    must be a module-level function of ``(store, config, item)``
-    (picklable by reference, so the pool works under ``spawn`` too).
+    *store* is the state :class:`SharedStorePool` hands its workers
+    (picklable, for ``spawn``); *cell* must be a module-level function
+    of ``(store, config, item)`` (picklable by reference, so the pool
+    works under ``spawn`` too).
     Serial and parallel runs produce identical results — cells are
     deterministic functions of the store's immutable artifacts.
 
@@ -544,7 +507,7 @@ def run_store_cells(
     cell is timed in-process and used as the estimate; the pool only
     starts when :func:`effective_jobs` projects a net saving.  *force*
     skips that economics check (parity tests on small workloads) but
-    never the correctness fallbacks (nested calls, missing shm).
+    never the correctness fallback (nested calls run serially).
 
     Execution is fault-tolerant (see the module docstring): worker
     crashes and cell timeouts are retried under
@@ -565,7 +528,7 @@ def run_store_cells(
     def serial(indices: Sequence[int]) -> list:
         return [run_one(index) for index in indices]
 
-    if _IN_WORKER or not shm_available():
+    if _IN_WORKER:
         return serial(range(len(items)))
     requested = effective_jobs(jobs, len(items))
     if requested <= 1:

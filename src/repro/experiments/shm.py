@@ -1,269 +1,24 @@
-"""Named shared-memory segments with guaranteed cleanup (POSIX shm).
+"""Leak checks for named POSIX shared-memory segments.
 
-The shared-memory parallel pool (:mod:`repro.experiments.parallel`)
-publishes every per-version artifact of a
-:class:`~repro.experiments.store.VersionStore` into named
-``multiprocessing.shared_memory`` segments exactly once; workers attach
-by *name*, so only a small picklable manifest ever crosses the process
-boundary.  This module owns the two halves of that contract:
-
-* :class:`ShmRegistry` — the **owner** side.  Every segment a registry
-  creates is tracked until :meth:`ShmRegistry.unlink` destroys it; the
-  registry is a context manager (unlink on success *and* exception) and
-  doubles as an ``atexit`` safety net, so no run — not even one whose
-  worker crashed mid-cell — leaks ``/dev/shm`` entries.
-* :func:`attach_segment` / :func:`attach_bytes` — the **worker** side.
-  Attaching deliberately bypasses Python's ``resource_tracker``
-  (``track=False`` on 3.13+, the documented ``unregister`` workaround
-  below): with tracking on, a worker that exits — cleanly or killed —
-  would unlink segments the parent and its sibling workers still need
-  (bpo-38119).  Workers only ever ``close()``; the owning registry is
-  the single place segments are unlinked.
-
-Segment names carry a recognizable prefix (:data:`SHM_PREFIX`) so tests
-and CI can assert "no leaked segments" by listing ``/dev/shm``.
+The worker pool (:mod:`repro.experiments.parallel`) creates no segment:
+a ``fork`` worker inherits the store it was handed and a ``spawn``
+worker unpickles it once.  Tests, the differential oracle, CI and the
+benchmark still list ``/dev/shm`` after every pooled run, so a segment
+that came back (a ``repro-shm`` name) shows up as a leak.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import pickle
-import secrets
-import threading
-from typing import Any, Iterable
+from typing import Iterable
 
-try:  # pragma: no cover - platforms without POSIX shared memory
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None  # type: ignore[assignment]
-
-#: Every segment name starts with this marker (leak checks key on it).
+#: The name marker the leak checks look for.
 SHM_PREFIX = "repro-shm"
 
 #: Where POSIX named segments appear on Linux (the leak-check surface).
 SHM_DIR = "/dev/shm"
 
-_LOCK = threading.Lock()
 
-#: Live registries; the atexit hook unlinks whatever they still own.
-_LIVE_REGISTRIES: list["ShmRegistry"] = []
-
-
-def shm_available() -> bool:
-    """Can this platform create named shared-memory segments?"""
-    return _shared_memory is not None
-
-
-def _untracked_attach(name: str):
-    """Attach to an existing segment without resource-tracker ownership.
-
-    The tracker's job is unlinking segments their *creator* leaked; an
-    attaching process must never register the segment as its own, or the
-    tracker unlinks it when that process exits (killing the views of
-    every other attached process).  Python 3.13 exposes ``track=False``;
-    older versions need the well-known ``unregister`` workaround.
-    """
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        # Suppress the registration instead of unregistering afterwards:
-        # fork workers share the parent's tracker process, so a child's
-        # unregister would erase the *parent's* registration and a later
-        # owner unlink would double-unregister (tracker KeyError noise).
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return _shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-class ShmRegistry:
-    """Owner of a set of named segments, with guaranteed unlink.
-
-    Use as a context manager around anything that publishes segments::
-
-        with ShmRegistry() as registry:
-            manifest = store.publish_shared(registry)
-            ...  # workers attach by the names in the manifest
-        # segments are closed AND unlinked here, success or exception
-
-    ``unlink()`` is idempotent and tolerant of segments the kernel has
-    already dropped, so double cleanup (context exit + atexit) is safe.
-    """
-
-    def __init__(self, prefix: str = SHM_PREFIX) -> None:
-        self.prefix = prefix
-        self._segments: list = []
-        self._counter = 0
-        with _LOCK:
-            _LIVE_REGISTRIES.append(self)
-
-    # ------------------------------------------------------------------
-    def _next_name(self) -> str:
-        self._counter += 1
-        return (
-            f"{self.prefix}-{os.getpid()}-{self._counter}-"
-            f"{secrets.token_hex(4)}"
-        )
-
-    def create(self, nbytes: int):
-        """A fresh named segment of *nbytes* (> 0), tracked for unlink."""
-        if _shared_memory is None:
-            raise RuntimeError("shared memory is not available on this platform")
-        # The registry IS the lifecycle guard the rule asks for: every
-        # segment created here is tracked and unlinked by unlink().
-        segment = _shared_memory.SharedMemory(  # reprolint: disable=unguarded-shm
-            create=True, size=nbytes, name=self._next_name()
-        )
-        self._segments.append(segment)
-        return segment
-
-    def publish_bytes(self, payload: bytes) -> dict:
-        """Copy *payload* into a named segment; returns its manifest.
-
-        Zero-length payloads publish no segment (``name`` is ``None``) —
-        ``SharedMemory`` refuses empty segments, and an empty buffer has
-        nothing to share anyway.
-        """
-        if len(payload) == 0:
-            return {"name": None, "nbytes": 0}
-        segment = self.create(len(payload))
-        segment.buf[: len(payload)] = payload
-        return {"name": segment.name, "nbytes": len(payload)}
-
-    def publish_pickle(self, value: Any) -> dict:
-        """Pickle *value* into a named segment (one copy, N attachers)."""
-        return self.publish_bytes(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def publish_array(self, buffer) -> dict:
-        """Publish one flat int64 index array (``array``/ndarray/bytes).
-
-        The manifest records the element count; attachers rebuild a
-        zero-copy ``numpy`` view with :func:`attach_index_array`.
-        """
-        raw = bytes(memoryview(buffer).cast("B"))
-        manifest = self.publish_bytes(raw)
-        manifest["count"] = len(raw) // 8
-        return manifest
-
-    # ------------------------------------------------------------------
-    def names(self) -> list[str]:
-        return [segment.name for segment in self._segments]
-
-    def close(self) -> None:
-        """Drop this process's mappings (does not destroy the segments)."""
-        for segment in self._segments:
-            try:
-                segment.close()
-            except (OSError, BufferError):  # pragma: no cover - view pinned
-                pass
-
-    def unlink(self) -> None:
-        """Close and destroy every owned segment (idempotent)."""
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except (OSError, BufferError):  # pragma: no cover
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass  # already gone (e.g. a tracker beat us to it)
-            except OSError:  # pragma: no cover - platform quirks
-                pass
-        with _LOCK:
-            if self in _LIVE_REGISTRIES:
-                _LIVE_REGISTRIES.remove(self)
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ShmRegistry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.unlink()
-
-
-def cleanup_registries() -> int:
-    """Unlink every segment still owned by a live registry; count them.
-
-    The emergency path: the CLI's KeyboardInterrupt handler (and the
-    ``atexit`` hook below) call this so an interrupted pooled run never
-    leaves ``/dev/shm`` entries behind.  Unlinking is idempotent, so
-    calling it while pools are also shutting down is safe.
-    """
-    with _LOCK:
-        live = list(_LIVE_REGISTRIES)
-    for registry in live:
-        registry.unlink()
-    return len(live)
-
-
-@atexit.register
-def _cleanup_registries() -> None:  # pragma: no cover - interpreter exit
-    cleanup_registries()
-
-
-# ----------------------------------------------------------------------
-# Worker (attach) side
-# ----------------------------------------------------------------------
-def attach_segment(manifest: dict):
-    """Attach to a published segment; ``None`` for empty manifests.
-
-    The caller owns the returned handle's lifetime: keep it alive while
-    any zero-copy view into its buffer exists, then ``close()`` it.
-    """
-    name = manifest.get("name")
-    if name is None:
-        return None
-    if _shared_memory is None:
-        raise RuntimeError("shared memory is not available on this platform")
-    return _untracked_attach(name)
-
-
-def attach_bytes(manifest: dict) -> bytes:
-    """Copy a published payload out of its segment (and detach)."""
-    segment = attach_segment(manifest)
-    if segment is None:
-        return b""
-    try:
-        return bytes(segment.buf[: manifest["nbytes"]])
-    finally:
-        segment.close()
-
-
-def attach_pickle(manifest: dict) -> Any:
-    """Unpickle a payload published with :meth:`ShmRegistry.publish_pickle`."""
-    return pickle.loads(attach_bytes(manifest))
-
-
-def attach_index_array(manifest: dict, keepalive: list):
-    """A zero-copy read-only int64 view over a published index array.
-
-    *keepalive* receives the segment handle — the view is only valid
-    while that handle stays open, so the caller must retain the list
-    for the view's lifetime.
-    """
-    import numpy
-
-    segment = attach_segment(manifest)
-    if segment is None:
-        return numpy.empty(0, dtype=numpy.int64)
-    keepalive.append(segment)
-    view = numpy.frombuffer(
-        segment.buf, dtype=numpy.int64, count=manifest["count"]
-    )
-    view.flags.writeable = False
-    return view
-
-
-# ----------------------------------------------------------------------
-# Leak checking (tests / CI)
-# ----------------------------------------------------------------------
 def list_segments(prefix: str = SHM_PREFIX) -> list[str]:
     """Names of live named segments carrying *prefix* (Linux: /dev/shm)."""
     try:

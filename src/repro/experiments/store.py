@@ -31,7 +31,10 @@ Every artifact is deterministic given the store's inputs, and cells
 derive private :class:`~repro.partition.interner.ColorInterner` states
 from them (fresh per pair, cloned per overlap run), which is what makes a
 parallel run's output byte-identical to the serial one (see
-:mod:`repro.experiments.parallel`).
+:mod:`repro.experiments.parallel`).  The pool hands its workers the store
+itself: a ``fork`` worker inherits it, a ``spawn`` worker unpickles it
+once (:meth:`VersionStore.__reduce__` carries the graphs, their built CSR
+blocks and the once-per-version caches).
 """
 
 from __future__ import annotations
@@ -258,7 +261,7 @@ class CellContext:
 
 
 #: Process-wide stores keyed by dataset configuration (shared across
-#: figures; pool workers attach a published copy instead).
+#: figures; pool workers get the store the pool was handed instead).
 #: Cleared together with the generators they wrap (see the registry
 #: hook below), so ``clear_shared_generators()`` releases everything.
 _SHARED_STORES: dict[tuple, "VersionStore"] = {}
@@ -294,7 +297,7 @@ class VersionStore:
         self._overlaps: OrderedDict[tuple, tuple] = OrderedDict()
         self._truths: dict[tuple[int, int], object] = {}
         #: Literal-split memo shared by every overlap cell of the store
-        #: (and published to pool workers / persisted with the store).
+        #: (and handed to pool workers / persisted with the store).
         self._split_cache: dict[str, frozenset] = {}
         #: Dataset coordinates (family/scale/seed/versions) when known —
         #: stamped by :meth:`shared` and persisted as the archive identity.
@@ -316,15 +319,14 @@ class VersionStore:
         seed: int,
         versions: int,
         backend=None,
-        verify_checksums: bool = True,
     ) -> "VersionStore":
         """The process-wide store for one dataset configuration.
 
         With *backend* (a path or persistence backend, see
         :mod:`repro.experiments.persist`) the store is **loaded** from a
         persisted archive instead of regenerated — the archive's identity
-        must match the requested coordinates.  *verify_checksums* is
-        forwarded to the load (``AlignConfig.verify_checksums``).
+        must match the requested coordinates.  The load verifies every
+        block's checksum.
         """
         try:
             factory = GENERATOR_FAMILIES[family]
@@ -343,9 +345,7 @@ class VersionStore:
                 "versions": int(versions),
             }
             if backend is not None:
-                store = cls.load(
-                    backend, expect=identity, verify_checksums=verify_checksums
-                )
+                store = cls.load(backend, expect=identity)
             else:
                 store = cls(factory.shared(scale=scale, seed=seed, versions=versions))
                 store.identity = identity
@@ -700,9 +700,9 @@ class VersionStore:
 
         Figures call this before sharding cells across workers so the
         expensive once-per-version work happens in the parent and reaches
-        every pool worker through the published store instead of being
-        redone ``jobs`` times.  *csr* builds each version graph's CSR
-        block, which :meth:`publish_shared` then publishes.
+        every pool worker with the store instead of being redone
+        ``jobs`` times.  *csr* builds each version graph's CSR block,
+        which a pickled store carries too.
         """
         selected = list(versions) if versions is not None else list(range(self.versions))
         for version in selected:
@@ -717,7 +717,7 @@ class VersionStore:
     def _store_splitter(self, base: Callable) -> Callable:
         """Memoize the default splitter in the store-wide literal cache.
 
-        The cache is one of the published/persisted artifacts ("literal
+        The cache is one of the pickled/persisted artifacts ("literal
         splits"), so pool workers and reloaded archives skip the
         re-splitting cost.  Bespoke splitters pass through untouched —
         caching across different splitters would conflate their outputs.
@@ -736,67 +736,32 @@ class VersionStore:
         return splitter
 
     # ------------------------------------------------------------------
-    # Shared-memory publication (the parallel pool's fork/spawn contract)
+    # Pickling (the pool's spawn contract)
     # ------------------------------------------------------------------
-    def publish_shared(self, registry) -> dict:
-        """Publish this store's artifacts into *registry* segments once.
+    def __reduce__(self):
+        """Pickle the version graphs and the once-per-version caches.
 
-        Returns a small picklable manifest of segment names for
-        :meth:`from_manifest`.  CSR index arrays go in raw (workers map
-        them back as zero-copy numpy views); graphs and the derived
-        Python-object artifacts travel as one pickle each.  Only what is
-        already built is published (a graph's pickle never carries its
-        block) — a worker recomputes anything it misses from the shared
-        graphs, deterministically, so results never depend on how warm
-        the parent's caches were.
+        This is what a ``spawn`` pool worker receives (a ``fork`` worker
+        inherits the store itself): the graphs, the CSR blocks already
+        built (a graph's own pickle never carries its block), the
+        identity, and the summary, edge-token, joint, trivial-side,
+        static-stat, ground-truth and literal-split caches.  The union,
+        context and overlap memos, the backend and the hit counters stay
+        behind; the copy rebuilds whatever it misses from its graphs,
+        deterministically, so results never depend on how warm the
+        original's caches were.  Ground truth the copy was not handed
+        raises (:class:`_PrebuiltHistory`).
         """
-        graphs = [self.graph(version) for version in range(self.versions)]
-        return {
-            "versions": self.versions,
-            "identity": dict(self.identity) if self.identity else None,
-            "graphs": registry.publish_pickle(graphs),
-            "csr": {
-                version: graph.csr().to_shared(registry)
-                for version, graph in enumerate(graphs)
-                if graph.has_csr
-            },
-            "summaries": registry.publish_pickle(dict(self._summaries)),
-            "edge_tokens": registry.publish_pickle(dict(self._edge_tokens)),
-            "joints": registry.publish_pickle(dict(self._joints)),
-            "trivial_sides": registry.publish_pickle(dict(self._trivial_sides)),
-            "static_stats": registry.publish_pickle(dict(self._static_stats)),
-            "truths": registry.publish_pickle(dict(self._truths)),
-            "splits": registry.publish_pickle(dict(self._split_cache)),
-        }
-
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "VersionStore":
-        """Attach a published store inside a pool worker (fork or spawn).
-
-        CSR blocks become zero-copy views over the parent's segments,
-        installed on their graphs; the segment handles are pinned on the
-        store for the worker's lifetime (``_shm_keepalive``) — the owning
-        registry, not the worker, unlinks them.
-        """
-        from .shm import attach_pickle
-
-        keepalive: list = []
-        graphs = attach_pickle(manifest["graphs"])
-        store = cls(_PrebuiltHistory(graphs))
-        store.identity = manifest.get("identity")
-        for version, csr_manifest in manifest["csr"].items():
-            graphs[int(version)].install_csr(
-                CSRGraph.from_shared(csr_manifest, keepalive)
-            )
-        store._summaries.update(attach_pickle(manifest["summaries"]))
-        store._edge_tokens.update(attach_pickle(manifest["edge_tokens"]))
-        store._joints.update(attach_pickle(manifest["joints"]))
-        store._trivial_sides.update(attach_pickle(manifest["trivial_sides"]))
-        store._static_stats.update(attach_pickle(manifest["static_stats"]))
-        store._truths.update(attach_pickle(manifest["truths"]))
-        store._split_cache.update(attach_pickle(manifest["splits"]))
-        store._shm_keepalive = keepalive
-        return store
+        graphs = self.graphs()
+        blocks = {}
+        for version, graph in enumerate(graphs):
+            if graph.has_csr:
+                block = graph.csr()
+                blocks[version] = (
+                    block.out_offsets, block.out_predicates, block.out_objects
+                )
+        caches = {name: getattr(self, name) for name in _PICKLED_CACHES}
+        return (_unpickle_store, (type(self), graphs, blocks, self.identity, caches))
 
     # ------------------------------------------------------------------
     # Persistence (the pluggable MemoryBackend/DiskBackend layer)
@@ -991,12 +956,31 @@ class VersionStore:
         return AlignmentReport.from_json(blob.decode("utf-8"))
 
 
+#: The once-per-version caches a pickled store carries.
+_PICKLED_CACHES = (
+    "_summaries", "_edge_tokens", "_joints", "_trivial_sides",
+    "_static_stats", "_truths", "_split_cache",
+)
+
+
+def _unpickle_store(cls, graphs, blocks, identity, caches) -> VersionStore:
+    """Rebuild a store from :meth:`VersionStore.__reduce__`'s payload."""
+    store = cls(_PrebuiltHistory(graphs))
+    store.identity = identity
+    for version, arrays in blocks.items():
+        graph = graphs[version]
+        graph.install_csr(CSRGraph.from_parts(list(graph.nodes()), *arrays))
+    for name, cache in caches.items():
+        getattr(store, name).update(cache)
+    return store
+
+
 class _PrebuiltHistory:
-    """Generator stand-in for stores rebuilt from a manifest or archive.
+    """Generator stand-in for stores unpickled or loaded from an archive.
 
     Wraps already-materialized version graphs with the surface the store
     uses (``graph``/``config.versions``).  Ground truth is deliberately
-    absent: it must be prepared (and published) by the owning process.
+    absent: it must be warmed in the owning process before pickling.
     """
 
     def __init__(self, graphs: Sequence[TripleGraph]) -> None:
@@ -1008,9 +992,9 @@ class _PrebuiltHistory:
 
     def ground_truth(self, source: int, target: int):
         raise ExperimentError(
-            "ground truth is not part of a published or persisted store; "
+            "ground truth is not part of a pickled or persisted store; "
             "warm it via store.ground_truth(...) in the owning process "
-            "before publishing"
+            "before pickling"
         )
 
 

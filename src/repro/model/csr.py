@@ -23,7 +23,10 @@ A snapshot is derived state of the graph it describes:
 :meth:`TripleGraph.csr() <repro.model.graph.TripleGraph.csr>` builds it
 once and caches it until the graph changes, and a union's
 :meth:`~repro.model.union.CombinedGraph.csr` is assembled from its two
-sides' snapshots by :meth:`CSRGraph.from_blocks`.
+sides' snapshots by :meth:`CSRGraph.from_blocks`.  A pool worker reads
+the blocks of the store it was handed: a ``fork`` worker inherits them,
+and a ``spawn`` worker gets them in the store's pickle, re-assembled by
+:meth:`CSRGraph.from_parts` and installed on their graphs.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import GraphError, PartitionError
 from .graph import INDEX_TYPECODE, NodeId, TripleGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..experiments.shm import ShmRegistry
 
 
 class CSRGraph:
@@ -169,7 +169,7 @@ class CSRGraph:
         return f"<CSRGraph nodes={self.num_nodes} pairs={self.num_pairs}>"
 
     # ------------------------------------------------------------------
-    # Assembly from pre-built parts (shared memory, disk persistence)
+    # Assembly from pre-built parts (a pickled store, disk persistence)
     # ------------------------------------------------------------------
     @classmethod
     def from_parts(
@@ -182,8 +182,8 @@ class CSRGraph:
         """Assemble a snapshot from its four buffers without re-walking.
 
         The index buffers may be ``array('q')`` instances or any int64
-        sequence supporting the buffer protocol (NumPy views over shared
-        memory, read-only memmaps); the engines consume them through
+        sequence supporting the buffer protocol (read-only memmaps of a
+        persisted store); the engines consume them through
         ``frombuffer``/indexing either way.  ``index`` is rebuilt — it is
         derived state, never serialized.
         """
@@ -194,42 +194,6 @@ class CSRGraph:
         snapshot.out_predicates = out_predicates
         snapshot.out_objects = out_objects
         return snapshot
-
-    def to_shared(self, registry: "ShmRegistry") -> dict:
-        """Publish this snapshot into named shared-memory segments.
-
-        The three index arrays go in raw (attachers map them back as
-        zero-copy int64 views); the node table is pickled (Python
-        objects cannot be shared structurally).  Returns a picklable
-        manifest for :meth:`from_shared`; the *registry*
-        (:class:`~repro.experiments.shm.ShmRegistry`) owns the segments
-        and is responsible for unlinking them.
-        """
-        return {
-            "nodes": registry.publish_pickle(self.nodes),
-            "offsets": registry.publish_array(self.out_offsets),
-            "predicates": registry.publish_array(self.out_predicates),
-            "objects": registry.publish_array(self.out_objects),
-        }
-
-    @classmethod
-    def from_shared(cls, manifest: dict, keepalive: list) -> "CSRGraph":
-        """Attach a published snapshot as zero-copy read-only views.
-
-        Bit-identical to the publishing snapshot (``to_shared`` /
-        ``from_shared`` round-trips byte-for-byte, empty graphs and
-        zero-length pair arrays included).  *keepalive* receives the
-        segment handles; the snapshot is only valid while they stay
-        open — the worker pool retains them for the worker's lifetime.
-        """
-        from ..experiments.shm import attach_index_array, attach_pickle
-
-        return cls.from_parts(
-            attach_pickle(manifest["nodes"]),
-            attach_index_array(manifest["offsets"], keepalive),
-            attach_index_array(manifest["predicates"], keepalive),
-            attach_index_array(manifest["objects"], keepalive),
-        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -247,10 +211,10 @@ class CSRGraph:
         :meth:`CombinedGraph.csr() <repro.model.union.CombinedGraph.csr>`
         calls this once per union, so each version's block is built once
         and shared by every pair touching it.  The blocks are read through
-        the buffer protocol (``array('q')``, NumPy views over shared
-        memory, read-only memmaps) with the standard library alone: the
-        reference engine's k-signature runs read this snapshot too.  Its
-        node table and index are the identity on ``range(n1 + n2)``.
+        the buffer protocol (``array('q')``, read-only memmaps) with the
+        standard library alone: the reference engine's k-signature runs
+        read this snapshot too.  Its node table and index are the identity
+        on ``range(n1 + n2)``.
         """
         snapshot = cls.__new__(cls)
         offset = source.num_nodes

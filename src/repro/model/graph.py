@@ -405,7 +405,7 @@ class TripleGraph:
         return self._csr is not None
 
     def install_csr(self, snapshot: "CSRGraph") -> None:
-        """Use a prebuilt *snapshot* of this graph (shared memory, an archive).
+        """Use a prebuilt *snapshot* of this graph (a pickled store, an archive).
 
         The one way in for a snapshot built elsewhere.  Raises
         :class:`GraphError` unless *snapshot* lists this graph's nodes in
@@ -422,8 +422,8 @@ class TripleGraph:
 
     def __getstate__(self) -> tuple[dict[str, object] | None, dict[str, object]]:
         # A pickle carries the node table and the columns.  The indexes
-        # are rebuilt on first use, and the snapshot may view shared
-        # memory or a mapped file.
+        # are rebuilt on first use, and the snapshot may view a mapped
+        # file (a pickled store carries its built blocks separately).
         slots = {
             name: getattr(self, name)
             for cls in type(self).__mro__

@@ -5,8 +5,11 @@ Two halves of one contract:
 * :mod:`repro.robustness.faults` — deterministic, picklable fault plans
   (worker SIGKILL, per-cell hangs, transient I/O errors, bit-flips and
   truncations in backend reads) injected at named hook points in the
-  shm pool, the cell runner, and the disk backend.  Zero overhead when
-  disabled.
+  worker pool, the cell runner, and the disk backend.  Zero overhead when
+  disabled.  The pool hands its workers the store itself (inherited
+  under ``fork``, pickled once per worker under ``spawn``), so a
+  restarted pool needs no re-publication and a killed worker leaves
+  nothing behind.
 * :mod:`repro.robustness.retry` — the recovery machinery those faults
   exercise: bounded retry with exponential backoff, per-cell timeouts,
   and graceful degradation to serial execution recorded as structured

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the execution layer.
 
 The recovery machinery of this repo — bounded retry-with-backoff around
-the shared-memory pool (:mod:`repro.experiments.parallel`), checksum
+the worker pool (:mod:`repro.experiments.parallel`), checksum
 verification and quarantine-and-rebuild in the persistence layer
 (:mod:`repro.experiments.persist` / :meth:`VersionStore.load`) — is only
 trustworthy if its failure paths are *exercised*, reproducibly, against
@@ -41,8 +41,8 @@ Sites currently wired in:
     of :func:`~repro.experiments.parallel.run_store_cells`.
 ``pool.start``
     Fired by :class:`~repro.experiments.parallel.SharedStorePool` before
-    publishing segments, with ``attempt``.  Kind ``oserror`` makes pool
-    construction itself a retryable failure.
+    it builds its executor, with ``attempt``.  Kind ``oserror`` makes
+    pool construction itself a retryable failure.
 ``backend.read``
     Fired by :meth:`DiskBackend._read_file` with ``key`` = the logical
     store key.  ``oserror`` raises a transient ``EIO``;

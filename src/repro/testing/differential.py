@@ -9,8 +9,8 @@ asserts the cross-cutting invariants:
 
 * **engine parity** — the reference and dense engines produce
   byte-identical reports (modulo the ``engine`` marker itself);
-* **jobs determinism** — sharding the version pairs over the
-  shared-memory worker pool
+* **jobs determinism** — sharding the version pairs over the store
+  worker pool
   (:func:`repro.experiments.parallel.run_store_cells`, forced past its
   overhead refusal) yields byte-identical report JSON to the serial
   run, for every jobs count;
@@ -292,7 +292,7 @@ class _ScenarioOracle:
             self.generator = SyntheticGenerator(config=config)
         self.graphs = self.generator.graphs()
         self.report.generate_seconds = time.perf_counter() - started
-        #: The history as a pool-publishable store (jobs axis).
+        #: The history as a store the pool hands its workers (jobs axis).
         self.store = VersionStore(self.generator)
 
     # ------------------------------------------------------------------
@@ -676,7 +676,7 @@ class _ScenarioOracle:
         from ..experiments import cells
         from ..experiments.parallel import run_store_cells
         from ..experiments.persist import DiskBackend
-        from ..experiments.shm import list_segments, shm_available
+        from ..experiments.shm import list_segments
         from ..experiments.store import VersionStore
         from ..robustness import FaultPlan, FaultSpec, drain_events, inject
 
@@ -710,50 +710,49 @@ class _ScenarioOracle:
                 "degrades",
             ),
         }
-        if shm_available():
-            for name, (plan, expectation) in pool_plans.items():
-                drain_events()
-                events: list = []
-                try:
-                    with inject(plan):
-                        faulted = run_store_cells(
-                            store, cells.edge_ratio_cell, pairs, jobs=2,
-                            config=config, force=True, events=events,
-                        )
-                except Exception as error:  # reprolint: disable=broad-except  # any crash is a divergence
-                    self._diverge(
-                        "fault_tolerance", name,
-                        f"run under plan {name!r} did not complete: "
-                        f"{type(error).__name__}: {error}",
+        for name, (plan, expectation) in pool_plans.items():
+            drain_events()
+            events: list = []
+            try:
+                with inject(plan):
+                    faulted = run_store_cells(
+                        store, cells.edge_ratio_cell, pairs, jobs=2,
+                        config=config, force=True, events=events,
                     )
-                    continue
-                self.report.cells += len(pairs)
-                if json.dumps(faulted, sort_keys=True) != clean_bytes:
-                    self._diverge(
-                        "fault_tolerance", name,
-                        f"results under plan {name!r} differ byte-wise from "
-                        f"the fault-free run",
-                    )
-                if expectation == "degrades" and not events:
-                    self._diverge(
-                        "fault_tolerance", name,
-                        f"plan {name!r} exhausted the retry budget but no "
-                        f"DegradationEvent was recorded",
-                    )
-                if expectation == "recovers" and events:
-                    self._diverge(
-                        "fault_tolerance", name,
-                        f"plan {name!r} should be absorbed by the retry "
-                        f"budget, but the run degraded: "
-                        f"{[e.to_dict() for e in events]}",
-                    )
-                leaked = list_segments()
-                if leaked:
-                    self._diverge(
-                        "fault_tolerance", name,
-                        f"{len(leaked)} leaked /dev/shm segment(s) after "
-                        f"plan {name!r}: {leaked}",
-                    )
+            except Exception as error:  # reprolint: disable=broad-except  # any crash is a divergence
+                self._diverge(
+                    "fault_tolerance", name,
+                    f"run under plan {name!r} did not complete: "
+                    f"{type(error).__name__}: {error}",
+                )
+                continue
+            self.report.cells += len(pairs)
+            if json.dumps(faulted, sort_keys=True) != clean_bytes:
+                self._diverge(
+                    "fault_tolerance", name,
+                    f"results under plan {name!r} differ byte-wise from "
+                    f"the fault-free run",
+                )
+            if expectation == "degrades" and not events:
+                self._diverge(
+                    "fault_tolerance", name,
+                    f"plan {name!r} exhausted the retry budget but no "
+                    f"DegradationEvent was recorded",
+                )
+            if expectation == "recovers" and events:
+                self._diverge(
+                    "fault_tolerance", name,
+                    f"plan {name!r} should be absorbed by the retry "
+                    f"budget, but the run degraded: "
+                    f"{[e.to_dict() for e in events]}",
+                )
+            leaked = list_segments()
+            if leaked:
+                self._diverge(
+                    "fault_tolerance", name,
+                    f"{len(leaked)} leaked /dev/shm segment(s) after "
+                    f"plan {name!r}: {leaked}",
+                )
 
         # ---- backend plans: transient I/O and real corruption ---------
         engine = self.report.engines[0]

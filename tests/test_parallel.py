@@ -37,7 +37,7 @@ from repro.experiments.parallel import (
     pool_overhead,
     run_store_cells,
 )
-from repro.experiments.shm import list_segments, shm_available
+from repro.experiments.shm import list_segments
 from repro.experiments.store import VersionStore
 from repro.model.union import CombinedGraph, combine
 from repro.partition.interner import ColorInterner
@@ -136,9 +136,8 @@ class TestOverheadScheduling:
         assert pool_overhead() == first  # cached, not re-measured
 
 
-@pytest.mark.skipif(not shm_available(), reason="needs POSIX shared memory")
 class TestRunStoreCells:
-    """The shm pool path: serial/fork/spawn parity and cleanup."""
+    """The pool path: serial/fork/spawn parity and cleanup."""
 
     @pytest.fixture(scope="class")
     def store(self):
@@ -190,7 +189,7 @@ class TestRunStoreCells:
 
     @needs_fork
     def test_workers_build_tokens_the_parent_did_not(self, pairs):
-        """Only the deblank tokens are published; every worker builds its
+        """Only the deblank tokens are prepared; every worker builds its
         trivial tokens itself.  Labels are their own tokens, so tokens from
         different processes compare equal and pooled rows match serial."""
 
@@ -208,7 +207,7 @@ class TestRunStoreCells:
 
     @needs_spawn
     def test_spawn_pool_matches_serial(self, store, pairs):
-        """The no-fork (Windows-style) fallback: attach under spawn."""
+        """The no-fork (Windows-style) fallback: unpickle under spawn."""
         config = AlignConfig(theta=0.65)
         serial = run_store_cells(
             store, method_counts_cell, pairs[:4], jobs=1, config=config

@@ -245,11 +245,9 @@ class TestConfigKnobs:
         config = AlignConfig()
         assert config.retries == 2
         assert config.cell_timeout is None
-        assert config.verify_checksums is True
         exported = config.to_dict()
         assert exported["retries"] == 2
         assert exported["cell_timeout"] is None
-        assert exported["verify_checksums"] is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -260,7 +258,6 @@ class TestConfigKnobs:
             {"cell_timeout": 0},
             {"cell_timeout": -2.0},
             {"cell_timeout": True},
-            {"verify_checksums": "yes"},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):

@@ -1,11 +1,13 @@
-"""Shared-memory segments and the worker pool's cleanup guarantees.
+"""The worker pool's hand-off contract and its cleanup guarantees.
 
-The contract under test (repro.experiments.shm + CSRGraph.to_shared):
+The contract under test (repro.experiments.parallel + VersionStore):
 
-* published payloads round-trip bit-identically — CSR snapshots
-  included, empty graphs and zero-length arrays included;
-* a :class:`ShmRegistry` unlinks everything it owns on context exit,
-  on exception, and idempotently;
+* the pool hands its workers the store itself — under ``fork`` nothing
+  is pickled, and no pooled run creates a ``/dev/shm`` segment;
+* a pickled store (what a ``spawn`` worker receives) carries the graphs,
+  their built CSR blocks (bit-identical, empty graphs and zero-length
+  arrays included) and the once-per-version caches, and none of the
+  per-pair memos, the backend or the hit counters;
 * a worker crashing mid-cell (SIGKILL) surfaces as
   ``WorkerCrashError`` and still leaves ``/dev/shm`` clean;
 * under every seeded :class:`FaultPlan` (crash, crash-forever, hang)
@@ -16,8 +18,8 @@ The contract under test (repro.experiments.shm + CSRGraph.to_shared):
 from __future__ import annotations
 
 import os
+import pickle
 import signal
-from array import array
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -31,27 +33,17 @@ from repro.experiments.parallel import (
     run_store_cells,
 )
 from repro.robustness import FaultPlan, FaultSpec, inject
-from repro.experiments.shm import (
-    ShmRegistry,
-    attach_bytes,
-    attach_index_array,
-    attach_pickle,
-    attach_segment,
-    list_segments,
-    shm_available,
-)
+from repro.experiments.shm import list_segments
 from repro.experiments.store import VersionStore
 from repro.datasets.synthetic import SCENARIOS, SyntheticGenerator
 from repro.model import RDFGraph, blank, lit, uri
-from repro.model.csr import CSRGraph
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory is unavailable"
-)
+from repro.model.graph import TripleGraph
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="the crash test pins the fork start method"
 )
+
+PAIRS = [(0, 1), (1, 2), (0, 2)]
 
 
 @pytest.fixture
@@ -63,104 +55,94 @@ def small_graph() -> RDFGraph:
     return g
 
 
-class TestRegistryRoundTrip:
-    def test_bytes_roundtrip(self):
-        with ShmRegistry() as registry:
-            manifest = registry.publish_bytes(b"hello shared world")
-            assert attach_bytes(manifest) == b"hello shared world"
+class _OneGraph:
+    """A one-version history over a hand-built graph."""
+
+    def __init__(self, graph: TripleGraph) -> None:
+        self._graph = graph
+
+    def graph(self, index: int) -> TripleGraph:
+        return self._graph
+
+
+def _segments_cell(store, config, item):
+    """What a pool worker sees in /dev/shm while its pool is live."""
+    return list_segments()
+
+
+@needs_fork
+class TestPoolHandOff:
+    def test_fork_pool_pickles_no_graph(self, monkeypatch):
+        store = _fault_store()
+        serial = run_store_cells(store, edge_ratio_cell, PAIRS, jobs=1)
+
+        def refuse(self):
+            raise AssertionError("a version graph was pickled")
+
+        monkeypatch.setattr(TripleGraph, "__getstate__", refuse)
+        pooled = run_store_cells(
+            store, edge_ratio_cell, PAIRS, jobs=2, context="fork", force=True
+        )
+        assert pooled == serial
+
+    def test_workers_see_no_segments(self):
+        with SharedStorePool(_fault_store(), jobs=2) as pool:
+            assert pool.map(_segments_cell, [0, 1]) == [[], []]
         assert list_segments() == []
 
-    def test_empty_bytes_publish_no_segment(self):
-        with ShmRegistry() as registry:
-            manifest = registry.publish_bytes(b"")
-            assert manifest == {"name": None, "nbytes": 0}
-            assert registry.names() == []
-            assert attach_segment(manifest) is None
-            assert attach_bytes(manifest) == b""
 
-    def test_pickle_roundtrip(self):
-        value = {"pairs": [(0, 1), (1, 2)], "theta": 0.65}
-        with ShmRegistry() as registry:
-            assert attach_pickle(registry.publish_pickle(value)) == value
+class TestStorePickle:
+    """What a spawn worker receives: ``pickle.loads(pickle.dumps(store))``."""
 
-    def test_index_array_roundtrip_is_bit_identical(self):
-        payload = array("q", [0, 3, 5, 2**40, -7])
-        keepalive: list = []
-        with ShmRegistry() as registry:
-            manifest = registry.publish_array(payload)
-            assert manifest["count"] == len(payload)
-            view = attach_index_array(manifest, keepalive)
-            assert view.tobytes() == payload.tobytes()
-            assert not view.flags.writeable
-            del view  # the segment buffer must not outlive the registry
-            for segment in keepalive:
-                segment.close()
+    def test_rows_match_serial_without_memos(self):
+        store = _fault_store()
+        serial = run_store_cells(store, edge_ratio_cell, PAIRS, jobs=1)
+        store.cell_context(0, 1)
+        store.overlap_result(0, 1)
+        store.backend = "an archive"
+        assert store._unions and store._contexts and store._overlaps
 
-    def test_zero_length_array(self):
-        keepalive: list = []
-        with ShmRegistry() as registry:
-            manifest = registry.publish_array(array("q", []))
-            view = attach_index_array(manifest, keepalive)
-            assert len(view) == 0 and keepalive == []
+        clone = pickle.loads(pickle.dumps(store))
+        assert not (clone._unions or clone._contexts or clone._overlaps)
+        assert clone.backend is None
+        assert clone.hits == {} and clone.misses == {}
+        assert clone.identity == store.identity
+        assert clone._summaries.keys() == store._summaries.keys()
+        assert clone._edge_tokens == store._edge_tokens
+        assert clone._joints == store._joints
+        assert clone._split_cache == store._split_cache
+        assert all(graph.has_csr for graph in clone.graphs())
+        assert run_store_cells(clone, edge_ratio_cell, PAIRS, jobs=1) == serial
+        assert "summary" not in clone.misses  # carried, not recomputed
 
+    def _roundtrip(self, graph: TripleGraph) -> None:
+        csr = graph.csr()
+        store = VersionStore(_OneGraph(graph), versions=1)
+        clone = pickle.loads(pickle.dumps(store)).graph(0)
+        assert clone.has_csr
+        block = clone.csr()
+        assert block.nodes == csr.nodes
+        assert block.index == csr.index
+        assert block.out_offsets.tobytes() == csr.out_offsets.tobytes()
+        assert block.out_predicates.tobytes() == csr.out_predicates.tobytes()
+        assert block.out_objects.tobytes() == csr.out_objects.tobytes()
 
-class TestCSRSharedRoundTrip:
-    def _roundtrip(self, csr: CSRGraph) -> None:
-        keepalive: list = []
-        with ShmRegistry() as registry:
-            clone = CSRGraph.from_shared(csr.to_shared(registry), keepalive)
-            assert clone.nodes == csr.nodes
-            assert clone.index == csr.index
-            assert clone.out_offsets.tobytes() == csr.out_offsets.tobytes()
-            assert clone.out_predicates.tobytes() == csr.out_predicates.tobytes()
-            assert clone.out_objects.tobytes() == csr.out_objects.tobytes()
-            del clone  # views die before the registry unlinks the segments
-            for segment in keepalive:
-                segment.close()
-        assert list_segments() == []
+    def test_csr_block_bit_identical(self, small_graph):
+        self._roundtrip(small_graph)
 
-    def test_snapshot_bit_identical(self, small_graph):
-        self._roundtrip(CSRGraph(small_graph))
+    def test_csr_block_of_empty_graph(self):
+        self._roundtrip(RDFGraph())
 
-    def test_empty_graph(self):
-        self._roundtrip(CSRGraph(RDFGraph()))
-
-    def test_nodes_without_edges(self):
+    def test_csr_block_of_nodes_without_edges(self):
         # Zero-length pair arrays with a non-empty node table.
         g = RDFGraph()
-        g.add(uri("solo"), uri("p"), lit("x"))
-        csr = CSRGraph(g)
-        object_only = CSRGraph.from_parts(
-            csr.nodes, array("q", [0] * (len(csr.nodes) + 1)),
-            array("q", []), array("q", []),
-        )
-        self._roundtrip(object_only)
+        g.term(uri("solo"))
+        g.term(lit("x"))
+        self._roundtrip(g)
 
-
-class TestCleanupGuarantees:
-    def test_unlink_on_exception(self):
-        with pytest.raises(RuntimeError, match="mid-publish"):
-            with ShmRegistry() as registry:
-                registry.publish_bytes(b"doomed")
-                assert list_segments() != []
-                raise RuntimeError("mid-publish")
-        assert list_segments() == []
-
-    def test_unlink_is_idempotent(self):
-        registry = ShmRegistry()
-        registry.publish_bytes(b"payload")
-        registry.unlink()
-        registry.unlink()
-        assert list_segments() == []
-
-    def test_attacher_exit_does_not_destroy_segment(self):
-        # The owner, not an attacher, unlinks: after a worker-side
-        # attach/close cycle the segment must still be readable.
-        with ShmRegistry() as registry:
-            manifest = registry.publish_bytes(b"still here")
-            assert attach_bytes(manifest) == b"still here"
-            assert attach_bytes(manifest) == b"still here"
-        assert list_segments() == []
+    def test_unbuilt_block_stays_unbuilt(self, small_graph):
+        store = VersionStore(_OneGraph(small_graph), versions=1)
+        assert not pickle.loads(pickle.dumps(store)).graph(0).has_csr
 
 
 def _crash_cell(store, config, item):
