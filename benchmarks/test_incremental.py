@@ -6,20 +6,25 @@ scaled up (2000 entities, DAG shape, blank-heavy) and evolved to
 deletes a fraction of a percent of the graph, the regime real RDF
 archives live in (weekly ontology releases change little) and the regime
 incremental maintenance exists for.  The cycle-free operator mix keeps
-blank cones acyclic, so the coarsening pass runs its canonical-form fast
-path; the cyclic fallback is covered by the differential oracle's
-``cycle_heavy`` scenario, not timed here.
+blank cones acyclic, so every step has canonical colors to carry; the
+cyclic fallback is covered by the differential oracle's ``cycle_heavy``
+scenario, not timed here.
 
 Two implementations produce every per-version deblanking fixpoint:
 
 * **scratch** — batch refinement per version (``deblank_fixpoint``),
-* **maintained** — version ``k+1`` maintained from version ``k`` under
-  the generator's identity-preserving delta (``maintain_or_batch`` with
-  a chain interner and canonical-form cache — exactly the
-  ``align_chain(incremental=True)`` / ``VersionStore`` wiring).
+* **maintained** — version 0 canonized (``canonical_fixpoint``), then
+  version ``k+1`` maintained from version ``k`` under the generator's
+  identity-preserving delta (``maintain_or_batch`` with one chain
+  interner — exactly the ``align_chain(incremental=True)`` wiring with
+  deltas).
 
 Gate: maintained is ≥ 2× faster per step, after asserting the two
-produce equivalent partitions on every version.  The scenario's default
+produce equivalent partitions on every version.  Beside it, a work
+count: no archive step falls back to batch, every step carries part of
+its subset, and the walks cover at most a tenth of the subset nodes.  A
+scratch canonization alone beats batch by more than 2×, so only the
+count shows that maintenance carries anything.  The scenario's default
 *stress* deltas (which rewrite ~half the graph per step, far past the
 incremental crossover) are measured report-only for the trajectory.
 
@@ -32,7 +37,12 @@ from __future__ import annotations
 
 import time
 
-from repro.core.maintain import deblank_fixpoint, maintain_or_batch
+from repro.core.maintain import (
+    MaintenanceStats,
+    canonical_fixpoint,
+    deblank_fixpoint,
+    maintain_or_batch,
+)
 from repro.datasets.synthetic import SCENARIOS, SyntheticGenerator
 from repro.partition.interner import ColorInterner
 
@@ -64,6 +74,9 @@ STRESS_CONFIG = SCENARIOS["mutation_chain"].evolve(versions=VERSIONS)
 
 REQUIRED_SPEEDUP = 2.0
 
+#: Largest share of the archive chain's subset nodes the walks may cover.
+MAX_WALKED_SHARE = 0.1
+
 
 def _chain(config):
     generator = SyntheticGenerator(config=config)
@@ -79,21 +92,23 @@ def _scratch_path(graphs):
     return [deblank_fixpoint(graph) for graph in graphs[1:]]
 
 
-def _maintained_path(graphs, deltas, subsets):
+def _maintained_path(graphs, deltas, subsets, work=None):
     interner = ColorInterner()
-    canon_cache: dict = {}
     fixpoints = []
-    partition = deblank_fixpoint(graphs[0], interner)
+    partition = canonical_fixpoint(graphs[0], subsets[0], interner)
     for index, delta in enumerate(deltas):
+        stats = MaintenanceStats()
         partition = maintain_or_batch(
             graphs[index + 1],
             partition,
             delta,
             subsets[index + 1],
             interner,
-            canon_cache=canon_cache,
+            stats,
         )
         fixpoints.append(partition)
+        if work is not None:
+            work.append(stats)
     return fixpoints
 
 
@@ -108,8 +123,9 @@ def test_incremental_chain_speedup(results_dir):
     steps = len(deltas)
 
     scratch_step, scratch_parts = _per_step(lambda: _scratch_path(graphs), steps)
+    work: list[MaintenanceStats] = []
     maintained_step, maintained_parts = _per_step(
-        lambda: _maintained_path(graphs, deltas, subsets), steps
+        lambda: _maintained_path(graphs, deltas, subsets, work), steps
     )
 
     # Correctness before speed: every maintained fixpoint is equivalent
@@ -117,6 +133,16 @@ def test_incremental_chain_speedup(results_dir):
     # differential oracle's incremental axis pins on the small scenarios.
     for maintained, scratch in zip(maintained_parts, scratch_parts):
         assert maintained.equivalent_to(scratch)
+
+    # Work before time: every step carries, and the walks stay local.
+    walked = sum(stats.refined for stats in work)
+    subset_nodes = sum(len(subset) for subset in subsets[1:])
+    assert not any(stats.fell_back for stats in work)
+    assert all(stats.kept > 0 for stats in work)
+    assert walked <= MAX_WALKED_SHARE * subset_nodes, (
+        f"maintenance walked {walked} of {subset_nodes} subset nodes, above "
+        f"{MAX_WALKED_SHARE:.0%}"
+    )
 
     speedup = scratch_step / maintained_step
     if speedup < REQUIRED_SPEEDUP:
@@ -162,6 +188,7 @@ def test_incremental_chain_speedup(results_dir):
         f"{stress_scratch / stress_maintained:>8.2f}",
         "",
         "maintained partitions equivalent to scratch: True",
+        f"archive subset nodes walked: {walked} of {subset_nodes}",
     ]
     report = "\n".join(lines) + "\n"
     (results_dir / "incremental.txt").write_text(report, encoding="utf-8")

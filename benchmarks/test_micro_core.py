@@ -1,7 +1,6 @@
 """Micro benchmarks for the core algorithms.
 
-* batch vs incremental (worklist) partition refinement — the ablation for
-  the optimization DESIGN.md calls out,
+* batch partition refinement, full and on the blanks only,
 * the hash-consing interner,
 * full-bisimulation throughput per edge,
 * building ``Align(λ)`` and ``UN(λ)`` on one Figure-11 cell (report-only),
@@ -14,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bisimulation import bisimulation_partition
-from repro.core.incremental import incremental_refine_fixpoint
 from repro.core.refinement import bisim_refine_fixpoint
 from repro.datasets import EFOGenerator
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
@@ -41,30 +39,6 @@ def test_batch_refinement(benchmark, efo_union):
 
     partition = benchmark(run)
     assert partition.num_classes > 1
-
-
-def test_incremental_refinement(benchmark, efo_union):
-    def run():
-        interner = ColorInterner()
-        return incremental_refine_fixpoint(
-            efo_union, label_partition(efo_union, interner), None, interner
-        )
-
-    partition = benchmark(run)
-    assert partition.num_classes > 1
-
-
-def test_batch_vs_incremental_equivalent(efo_union):
-    """The two refinement variants must produce the same partition."""
-    interner_a = ColorInterner()
-    batch = bisim_refine_fixpoint(
-        efo_union, label_partition(efo_union, interner_a), None, interner_a
-    )
-    interner_b = ColorInterner()
-    incremental = incremental_refine_fixpoint(
-        efo_union, label_partition(efo_union, interner_b), None, interner_b
-    )
-    assert incremental.equivalent_to(batch)
 
 
 def test_deblank_refinement_on_blanks_only(benchmark, efo_union):

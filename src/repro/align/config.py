@@ -71,10 +71,11 @@ class AlignConfig:
         every other method.
     incremental:
         When ``True``, :meth:`~repro.align.session.Aligner.align_chain`
-        maintains each version's deblanking fixpoint from its
-        predecessor's under the chain's deltas
-        (:mod:`repro.core.maintain`) instead of refining every pair from
-        scratch.  Never affects results, only wall-clock — the
+        computes each version's deblanking fixpoint once, in canonical
+        colors (:mod:`repro.core.maintain`), instead of refining every
+        pair from scratch: maintained from its predecessor's under the
+        chain's deltas when the caller supplies them, canonized from
+        scratch otherwise.  Never affects results, only wall-clock — the
         differential oracle's incremental axis pins byte-identical
         reports.
     backend:

@@ -145,21 +145,19 @@ class Aligner:
         """Align every consecutive pair of a version *history*.
 
         With the default config this is one :meth:`align` per pair.
-        With ``incremental=True`` the chain carries each version's
-        deblanking fixpoint forward: version ``k+1``'s partition is
-        *maintained* from version ``k``'s under the step's
-        :class:`~repro.delta.changes.VersionChanges`
-        (:mod:`repro.core.maintain`), and each pair's alignment base is
-        composed from the two per-version class summaries instead of
-        refined from scratch.  Results are identical either way — only
-        wall-clock changes.
+        With ``incremental=True`` each version's deblanking fixpoint is
+        computed once, in canonical colors (:mod:`repro.core.maintain`),
+        and each pair's alignment base is composed from the two
+        per-version class summaries instead of refined from scratch.
+        Results are identical either way; only wall-clock changes.
 
         *changes* optionally supplies the per-step deltas (one per
         consecutive pair, e.g. from an archive's write log or a
-        generator's ``version_changes``); when omitted they are computed
-        by :func:`repro.delta.changes.diff`, which matches nodes by
-        identifier — identity-preserving deltas make maintenance
-        proportional to the real change.
+        generator's ``version_changes``).  With deltas, version ``k+1``'s
+        fixpoint is *maintained* from version ``k``'s: only the
+        predecessor closure of the step's changes is recolored.  Without
+        them, every version is canonized from scratch, which costs less
+        than diffing the two versions would.
         """
         from ..exceptions import ConfigError
 
@@ -176,38 +174,31 @@ class Aligner:
         if not self.config.incremental:
             return [self._run(a, b) for a, b in zip(graphs, graphs[1:])]
 
-        from ..core.maintain import deblank_fixpoint, maintain_or_batch
-        from ..delta.changes import diff
+        from ..core.maintain import canonical_fixpoint, maintain_or_batch
         from ..experiments.store import (
             joint_quotient_colors,
             summary_from_partition,
         )
-
-        deltas = (
-            list(changes)
-            if changes is not None
-            else [diff(a, b) for a, b in zip(graphs, graphs[1:])]
-        )
-        # One interner for the whole chain (the verbatim-carry contract:
-        # every step's colors are indices into it, so the next step reuses
-        # them as-is) plus the cross-step canonical-form cache that keeps
-        # the coarsening pass proportional to the delta.
         from ..partition.interner import ColorInterner
 
+        # One interner for the whole chain: a maintained step carries the
+        # previous step's canonical colors as they are.
         chain_interner = ColorInterner()
-        canon_cache: dict = {}
-        fixpoints = [deblank_fixpoint(graphs[0], chain_interner)]
-        for graph, delta in zip(graphs[1:], deltas):
-            fixpoints.append(
-                maintain_or_batch(
-                    graph,
-                    fixpoints[-1],
-                    delta,
-                    graph.blanks(),
-                    chain_interner,
-                    canon_cache=canon_cache,
+        if changes is None:
+            fixpoints = [
+                canonical_fixpoint(graph, graph.blanks(), chain_interner)
+                for graph in graphs
+            ]
+        else:
+            fixpoints = [
+                canonical_fixpoint(graphs[0], graphs[0].blanks(), chain_interner)
+            ]
+            for graph, delta in zip(graphs[1:], changes):
+                fixpoints.append(
+                    maintain_or_batch(
+                        graph, fixpoints[-1], delta, graph.blanks(), chain_interner
+                    )
                 )
-            )
         summaries = [
             summary_from_partition(graph, fixpoint)
             for graph, fixpoint in zip(graphs, fixpoints)

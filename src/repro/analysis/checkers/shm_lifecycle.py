@@ -1,21 +1,12 @@
-"""Shared-memory lifecycle: every named segment must have an owner.
+"""Shared-memory lifecycle: no named segments.
 
-A leaked ``/dev/shm`` segment survives the process that created it —
-the failure the PR 7 pool design spent an entire registry
-(:class:`repro.experiments.shm.ShmRegistry`) preventing, and the one
-the CI leak checks grep ``/dev/shm`` for after the fact.  Statically:
-
-* raw ``SharedMemory(create=True)`` allocations are forbidden outside
-  the registry module — allocate through ``ShmRegistry.create`` so the
-  unlink guarantee (context exit + atexit net) applies;
-* a ``ShmRegistry()`` must be constructed as a ``with`` context, be
-  stored on an object attribute (an owner whose ``close`` path unlinks
-  it), or live in a function that visibly calls ``.unlink()`` in a
-  ``finally``/handler — a registry bound to a local with no unwind
-  path is a leak waiting for the first exception;
-* ``publish_shared(...)`` / ``to_shared(...)`` must be handed a live
-  registry — never called bare, never handed an inline
-  ``ShmRegistry()`` nobody retains a handle to.
+A leaked ``/dev/shm`` segment survives the process that created it, and
+the CI leak checks grep ``/dev/shm`` for one after the fact.  The
+process pool hands its workers the store itself (inherited at fork,
+pickled once per worker under spawn), so nothing in the project
+allocates a segment.  Statically, a raw ``SharedMemory(create=True)``
+allocation is forbidden anywhere: it is what would bring segments, and
+their leaks, back.
 """
 
 from __future__ import annotations
@@ -24,106 +15,34 @@ import ast
 from typing import Iterator
 
 from ..framework import Checker, Finding, ModuleInfo, register_checker
-from ._util import call_name, enclosing_function, parent_of, walk_with_parents
-
-_PUBLISHERS = ("publish_shared", "to_shared")
-
-
-def _has_unwind(function: ast.AST | None, name: str) -> bool:
-    """Does the enclosing function unlink *name* on an unwind path?"""
-    if function is None:
-        return False
-    for node in ast.walk(function):
-        if isinstance(node, ast.Try):
-            handlers: list[ast.stmt] = list(node.finalbody)
-            for handler in node.handlers:
-                handlers.extend(handler.body)
-            for statement in handlers:
-                for call in ast.walk(statement):
-                    if isinstance(call, ast.Call):
-                        dotted = call_name(call)
-                        if dotted == f"{name}.unlink" or dotted.endswith(
-                            "cleanup_registries"
-                        ):
-                            return True
-    return False
+from ._util import call_name
 
 
 @register_checker
 class ShmLifecycleChecker(Checker):
     rule = "unguarded-shm"
     description = (
-        "shared-memory allocations must be owned: ShmRegistry as a "
-        "context manager / attribute / try-finally unlink; no raw "
-        "SharedMemory(create=True) outside the registry module"
+        "no raw SharedMemory(create=True): hand workers the state itself "
+        "through the store pool instead of a named segment"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in walk_with_parents(module.tree):
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             dotted = call_name(node)
-            basename = dotted.split(".")[-1] if dotted else ""
-            if basename == "SharedMemory":
-                if any(
-                    keyword.arg == "create"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                    for keyword in node.keywords
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "raw SharedMemory(create=True); allocate through "
-                        "ShmRegistry.create so the segment is unlinked on "
-                        "success, exception and interpreter exit alike",
-                    )
-            elif basename == "ShmRegistry":
-                yield from self._check_registry(module, node)
-            elif basename in _PUBLISHERS and "." in dotted:
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{basename}() called without a registry; publish "
-                        "into a ShmRegistry whose owner guarantees unlink",
-                    )
-                elif node.args and isinstance(node.args[0], ast.Call) and (
-                    call_name(node.args[0]).split(".")[-1] == "ShmRegistry"
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "inline ShmRegistry() handed to a publisher is "
-                        "unowned — nothing can unlink its segments; bind "
-                        "it in a with-statement first",
-                    )
-
-    def _check_registry(
-        self, module: ModuleInfo, node: ast.Call
-    ) -> Iterator[Finding]:
-        parent = parent_of(node)
-        if isinstance(parent, ast.withitem):
-            return  # `with ShmRegistry() as r:` — unlink on exit
-        if isinstance(parent, ast.Assign):
-            targets = parent.targets
-            if any(isinstance(target, ast.Attribute) for target in targets):
-                return  # owned by an object whose close path unlinks
-            local = next(
-                (t.id for t in targets if isinstance(t, ast.Name)), None
-            )
-            if local is not None and _has_unwind(enclosing_function(node), local):
-                return
-        elif isinstance(parent, ast.Call) and node in parent.args:
-            # Inline argument: the publisher branch above reports it with
-            # a sharper message; don't double-report here.
-            basename = call_name(parent).split(".")[-1]
-            if basename in _PUBLISHERS:
-                return
-        yield self.finding(
-            module,
-            node,
-            "ShmRegistry() without a visible unlink path; use "
-            "`with ShmRegistry() as registry:` (or store it on the "
-            "owning object and unlink in its close path)",
-        )
+            if dotted.split(".")[-1] != "SharedMemory":
+                continue
+            if any(
+                keyword.arg == "create"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in node.keywords
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    "raw SharedMemory(create=True); a named segment outlives "
+                    "its process when nothing unlinks it — hand workers the "
+                    "state through SharedStorePool instead",
+                )

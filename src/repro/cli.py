@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     align_cmd.add_argument(
         "--incremental",
         action="store_true",
-        help="maintain the chain's deblanking fixpoints under per-step "
-        "deltas instead of refining every pair from scratch (identical "
-        "results, less work on long version chains)",
+        help="compute each version's deblanking fixpoint once, in "
+        "canonical colors, instead of refining every pair from scratch "
+        "(identical results, less work on long version chains)",
     )
     align_cmd.add_argument(
         "--pairs", action="store_true", help="print every aligned pair (TSV)"

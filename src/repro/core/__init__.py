@@ -27,7 +27,6 @@ from .dense import (
 )
 from .dense_weights import dense_weight_fixpoint
 from .hybrid import blanked_partition, hybrid_partition
-from .incremental import incremental_refine_fixpoint
 from .keyed import keyed_hybrid_partition, keyed_refine_fixpoint, predicate_key
 from .refinement import (
     FixpointStats,
@@ -60,7 +59,6 @@ __all__ = [
     "hybrid_partition",
     "in_neighborhood",
     "inbound_index",
-    "incremental_refine_fixpoint",
     "keyed_hybrid_partition",
     "keyed_refine_fixpoint",
     "naive_maximal_bisimulation",

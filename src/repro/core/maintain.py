@@ -2,52 +2,54 @@
 
 Batch alignment recomputes the coarsest stable refinement from scratch
 for every version; a long-running archive receives version ``k+1`` as a
-*delta*.  Following the partition-maintenance playbook of Luo et al.
+*delta*.  Following the localized partition maintenance of Luo et al.
 (maintaining bisimulation partitions under graph updates), this module
 updates a previous stable partition under a
-:class:`~repro.delta.changes.VersionChanges` instead of starting over:
+:class:`~repro.delta.changes.VersionChanges` instead of starting over.
+
+Maintained partitions use **canonical colors**.  A subset node's color
+is the interned canonical form of its forward cone,
+``("canon", label, frozenset{(color(p), color(o))})``, computed in one
+bottom-up walk (:func:`canonical_fixpoint`); every other node keeps its
+initial (label) color.  On acyclic cones, two nodes are bisimilar iff
+their hash-consed cone encodings are equal (the paper's §3.2 colors as
+derivation DAGs; Piazza & Policriti), so equal cones intern to equal
+colors in one shared interner, and the result is the coarsest stable
+refinement with no merge pass.  A color is valid until its node's cone
+changes, which gives the maintenance step:
 
 1. **Rename pass** — identifier renames never change refinement
    structure, so the previous partition's keys are substituted through
-   the rename map.  This is the dominant win on real archives: blank
-   identifiers reshuffle wholesale between versions, and with an
-   identity-preserving delta the reshuffle costs one dict rebuild.
-2. **Seeding** — the *directly changed* nodes (inserted nodes, subjects
+   the rename map.  Blank identifiers reshuffle wholesale between
+   versions on real archives; with an identity-preserving delta the
+   reshuffle costs one dict rebuild.
+2. **Checks** — the delta must connect the previous partition to the
+   graph (node sets agree), and the previous non-subset classes must be
+   grouped by label.  A hybrid base fails the latter and is rejected.
+3. **Closure** — the *directly changed* nodes (inserted nodes, subjects
    of inserted/deleted edges, relabeled nodes) are closed under
-   predecessors (:meth:`~repro.model.graph.TripleGraph.occurrences`).
-   A node's fixpoint color is a function of its forward cone, so exactly
-   the closure's nodes can change class: nodes outside it keep their
-   previous class, closure members reset to their initial (label) class.
-3. **Worklist refinement** — the dirty-seeded worklist of
-   :mod:`repro.core.incremental` re-splits starting from the closure
-   only; untouched classes are never re-examined.
-4. **Merge pass** — splitting alone cannot *coarsen*, but deletions (and
-   insertions) can make previously distinct classes bisimilar.  The
-   stable partition is quotiented to class level and re-refined from the
-   initial label grouping — the technique of
-   :func:`repro.experiments.store.joint_quotient_colors` — and classes
-   with equal quotient fixpoint colors merge.  Every stable partition
-   refining the initial one is finer than the coarsest stable
-   refinement, so merging at quotient level reaches it exactly.
+   predecessors (:meth:`~repro.model.graph.TripleGraph.occurrence_index`).
+   Exactly the closure's cones can have changed.
+4. **Carry and walk** — when *previous* is canonical in the given
+   interner, every color outside the closure is carried as is and the
+   walk recolors only the closure's subset nodes.  Otherwise (no
+   interner, or a batch result) the walk covers the whole subset.
 
-The result is the same partition (up to recoloring) as batch
-:func:`~repro.core.refinement.bisim_refine_fixpoint` on the new graph —
-the property test ``tests/test_maintain.py`` and the differential
-oracle's incremental axis pin this.
+The canonical form exists only for acyclic cones.  When the nodes to
+walk hold a cycle, the step falls back to batch
+:func:`~repro.core.refinement.bisim_refine_fixpoint` and sets
+``stats.fell_back``; the next step then walks its whole subset, since a
+batch result is not canonical.
 
-Precondition (checked, never silently violated): the previous
-partition's non-subset nodes must be colored *by label*, one class per
-label.  Deblanking and full bisimulation satisfy this by construction
-(refinement only ever recolors subset nodes, which start from the label
-partition); the hybrid refinement does **not** — its non-subset side
-carries refined blank colors — so maintaining a hybrid partition raises
-:class:`~repro.exceptions.PartitionError`.  Use :func:`maintain_or_batch`
-to fall back to batch refinement in that case.
+The result is always the same partition (up to recoloring) as batch
+refinement on the new graph: ``tests/test_maintain.py`` and the
+differential oracle's incremental axis pin this.  Use
+:func:`maintain_or_batch` to fall back to :func:`canonical_fixpoint` when
+a precondition fails.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Collection
 
@@ -57,14 +59,7 @@ from ..model.graph import NodeId, TripleGraph
 from ..model.labels import is_blank
 from ..partition.coloring import Partition, label_partition
 from ..partition.interner import Color, ColorInterner
-from .incremental import incremental_refine_fixpoint
 from .refinement import bisim_refine_fixpoint
-
-#: Per-call epoch for the colors minted during maintenance.  A chain
-#: shares one interner across every step (that is what makes carrying
-#: the previous colors verbatim safe); the epoch keeps one step's
-#: reset/quotient/merged keys from aliasing another step's.
-_EPOCHS = itertools.count()
 
 
 @dataclass
@@ -75,26 +70,46 @@ class MaintenanceStats:
     touched: int = 0
     #: Size of the predecessor closure of the touched set.
     affected: int = 0
-    #: Worklist seed: closure members inside the refined subset.
+    #: Subset nodes recolored by the canonical walk.
     refined: int = 0
-    #: Subset nodes whose previous class was carried over untouched.
+    #: Subset nodes whose previous color was carried over untouched.
     kept: int = 0
-    #: Classes removed by the coarsening merge pass.
-    merged_classes: int = 0
-    #: ``True`` when :func:`maintain_or_batch` fell back to batch.
+    #: ``True`` when the step fell back to batch refinement.
     fell_back: bool = False
 
 
 def deblank_fixpoint(graph: TripleGraph, interner: ColorInterner | None = None) -> Partition:
-    """The deblanking fixpoint of one version, computed from scratch.
+    """The deblanking fixpoint of one version, by batch refinement.
 
-    The chain's anchor: version 0 has no previous partition to maintain.
+    The reference every maintained partition is checked against.
     """
     if interner is None:
         interner = ColorInterner()
     return bisim_refine_fixpoint(
         graph, label_partition(graph, interner), graph.blanks(), interner
     )
+
+
+def canonical_fixpoint(
+    graph: TripleGraph,
+    subset: Collection[NodeId] | None = None,
+    interner: ColorInterner | None = None,
+) -> Partition:
+    """The coarsest stable refinement of *graph*'s label partition on
+    *subset*, in canonical colors.
+
+    *subset* defaults to all nodes (full bisimulation);
+    ``graph.blanks()`` gives the deblanking fixpoint.  This anchors a
+    maintained chain: pass the chain's interner here and to every
+    :func:`maintain_fixpoint` step.  A cycle among the subset's nodes has
+    no canonical form, and the partition then comes from batch
+    refinement instead (equivalent, not canonical).
+    """
+    if interner is None:
+        interner = ColorInterner()
+    colors = label_partition(graph, interner).as_dict()
+    walk = set(subset) if subset is not None else set(colors)
+    return _walk_or_batch(graph, colors, walk, subset, interner)
 
 
 def maintain_fixpoint(
@@ -104,7 +119,6 @@ def maintain_fixpoint(
     subset: Collection[NodeId] | None = None,
     interner: ColorInterner | None = None,
     stats: MaintenanceStats | None = None,
-    canon_cache: dict[Color, int] | None = None,
 ) -> Partition:
     """Update a stable partition under *changes* instead of recomputing.
 
@@ -114,26 +128,16 @@ def maintain_fixpoint(
     refined subset **in after-graph identifiers** (``None`` = all nodes,
     i.e. full bisimulation; ``graph.blanks()`` = deblanking).  Returns
     the coarsest stable refinement of *graph*'s label partition on
-    *subset* — equivalent (as a partition) to batch refinement.
+    *subset*, equivalent (as a partition) to batch refinement.
 
     Raises :class:`PartitionError` when the delta does not connect
-    *previous* to *graph* or when *previous* violates the label-grounded
-    precondition (see the module docstring); it never silently diverges.
+    *previous* to *graph* or when *previous*'s non-subset classes are
+    not grouped by label; it never silently diverges.
 
-    When *interner* is the interner that produced *previous* (the
-    chain-maintenance contract), the carried colors are reused verbatim:
-    only the affected closure and the inserted nodes are re-interned,
-    which is the O(delta) seeding that makes maintenance cheaper than
-    batch.  With ``interner=None`` (or a non-covering interner) every
-    carried color is re-wrapped into the supplied/fresh interner first.
-
-    *canon_cache* (chain contract only, pass the same dict every step)
-    lets the coarsening pass reuse canonical cone forms of classes that
-    were carried untouched, replacing its O(classes) quotient refinement
-    with an O(closure) bottom-up canonization whenever the blank quotient
-    is acyclic (cyclic quotients fall back to the full pass for that
-    step).  Sound because a kept class's members have untouched forward
-    cones, and the canonical form is a function of the concrete cone.
+    The chain contract: when *previous* came from
+    :func:`canonical_fixpoint` or this function with the same *interner*,
+    only the predecessor closure of the touched nodes is walked, and
+    every other color is carried.  Otherwise the whole subset is walked.
     """
     renames = changes.rename_map()
     labels = graph.labels()
@@ -142,8 +146,8 @@ def maintain_fixpoint(
     # One C-level dict copy plus O(delta) surgical updates.  Two survivors
     # may collapse onto one identifier (a rename target that already
     # existed): the collapsed node inherits the union of both nodes'
-    # edges, so it — and transitively its predecessors — must be
-    # re-refined rather than carried.
+    # edges, so it (and transitively its predecessors) must be
+    # recolored rather than carried.
     carried: dict[NodeId, Color] = previous.as_dict()
     collapsed: set[NodeId] = set()
     for node in changes.removed_nodes:
@@ -165,20 +169,9 @@ def maintain_fixpoint(
             "node sets disagree after applying renames/removals/insertions"
         )
     subset_nodes = set(subset) if subset is not None else set(labels.keys())
-    if interner is None:
-        interner = ColorInterner()
-        verbatim = False
-    else:
-        # Verbatim carry is sound exactly when every previous color is an
-        # index into this interner (the chain contract); anything foreign
-        # is re-wrapped instead, which is always sound because every
-        # output color is then minted from a namespaced key.
-        limit = len(interner)
-        verbatim = all(0 <= color < limit for color in carried.values())
 
     # 2. Precondition: previous non-subset colors must be label-grounded
-    # (color <-> label bijection), because step 4 reseeds them wholesale
-    # from labels.  A hybrid base violates this and is rejected here.
+    # (color <-> label bijection).  A hybrid base violates this.
     label_of_color: dict[Color, object] = {}
     color_of_label: dict[object, Color] = {}
     for node, label in labels.items():
@@ -194,7 +187,7 @@ def maintain_fixpoint(
             raise PartitionError(
                 "previous partition's non-subset classes are not grouped by "
                 "label (a hybrid base, for example); maintenance cannot "
-                "reseed them — fall back to batch refinement"
+                "carry them — fall back to batch refinement"
             )
 
     # 3. Directly changed nodes and their predecessor closure.
@@ -207,8 +200,8 @@ def maintain_fixpoint(
             touched.add(image)
     for _, new, label in changes.renamed:
         # A renamed blank keeps the blank label: pure key substitution.
-        # Everything else may have changed label, so its seed color (and
-        # hence every predecessor's signature) may differ.
+        # Everything else may have changed label, so its initial color
+        # (and hence every predecessor's cone) may differ.
         if not is_blank(label):
             touched.add(new)
     touched &= labels.keys()
@@ -223,371 +216,118 @@ def maintain_fixpoint(
         for predecessor in occurrences.get(node, ()):
             if predecessor not in affected:
                 frontier.append(predecessor)
-    refine_seed = affected & subset_nodes
 
-    # 4. Seed the worklist coloring.  Verbatim mode touches O(closure +
-    # insertions) entries: untouched nodes keep their previous colors as
-    # is (same interner, no collisions possible), closure members reset
-    # to their initial (label) class, inserted non-subset nodes join the
-    # carried class of their label.  Re-wrap mode rebuilds the coloring —
-    # non-subset nodes by label, kept subset classes wrapped 1:1 — so a
-    # foreign previous partition can never collide with minted colors.
-    epoch = next(_EPOCHS)
-    reset_cache: dict[object, Color] = {}
-
-    def reset_color(label: object) -> Color:
-        color = reset_cache.get(label)
-        if color is None:
-            color = interner.intern(("reset", epoch, interner.label_color(label)))
-            reset_cache[label] = color
-        return color
-
-    kept = 0
-    if verbatim:
+    # 4. Carry every color outside the closure when previous is canonical
+    # in this interner, and walk the closure's subset nodes only.  The
+    # touched non-subset nodes take their (possibly new) label's color.
+    if interner is not None and _all_canonical(
+        set(map(carried.__getitem__, subset_nodes - affected)), interner
+    ):
         colors = carried
-        for node in refine_seed:
-            colors[node] = reset_color(labels[node])
-        entered_cache: dict[object, Color] = {}
-        for node in added:
-            if node in subset_nodes:
-                continue  # inserted subset nodes are touched, hence reset
+        blank_color = interner.blank_color()
+        for node in sorted(touched - subset_nodes, key=graph.dense_id):
             label = labels[node]
-            existing = color_of_label.get(label)
-            if existing is not None:
-                colors[node] = existing
-                continue
-            # A label new to the graph gets an epoch-fresh color, NOT the
-            # raw label color: a node renamed in an earlier step still
-            # carries its stale ("label", old) int verbatim, and minting
-            # label colors here could collide with exactly those.
-            color = entered_cache.get(label)
-            if color is None:
-                color = interner.intern(("entered", epoch, label))
-                entered_cache[label] = color
-            colors[node] = color
-        kept = len(subset_nodes) - len(refine_seed)
-        # Mixed-class guard (the worklist below runs with seed_closed and
-        # skips its own purity scan): a carried subset class must not
-        # share a color with any non-subset node.  Reset colors are
-        # epoch-fresh, so only kept carried colors can offend.
-        if kept and not label_of_color.keys().isdisjoint(
-            colors[node] for node in subset_nodes if node not in refine_seed
-        ):
-            raise PartitionError(
-                "previous partition mixes subset and non-subset nodes "
-                "in one class; fall back to batch refinement"
+            colors[node] = (
+                blank_color if is_blank(label) else interner.label_color(label)
             )
+        walk = affected & subset_nodes
     else:
-        colors = {}
-        kept_cache: dict[Color, Color] = {}
-        for node, label in labels.items():
-            if node not in subset_nodes:
-                colors[node] = interner.label_color(label)
-            elif node in refine_seed:
-                colors[node] = reset_color(label)
-            else:
-                carried_color = carried[node]
-                if carried_color in label_of_color:
-                    raise PartitionError(
-                        "previous partition mixes subset and non-subset nodes "
-                        "in one class; fall back to batch refinement"
-                    )
-                color = kept_cache.get(carried_color)
-                if color is None:
-                    color = interner.intern(("kept", epoch, carried_color))
-                    kept_cache[carried_color] = color
-                colors[node] = color
-                kept += 1
+        if interner is None:
+            interner = ColorInterner()
+        colors = label_partition(graph, interner).as_dict()
+        walk = subset_nodes
     if stats is not None:
         stats.touched = len(touched)
         stats.affected = len(affected)
-        stats.refined = len(refine_seed)
-        stats.kept = kept
+        stats.refined = len(walk)
+        stats.kept = len(subset_nodes) - len(walk)
+    return _walk_or_batch(graph, colors, walk, subset, interner, stats)
 
-    # 5. Dirty-seeded worklist refinement: only the closure is examined.
-    # The seed is predecessor-closed by construction and reset colors are
-    # epoch-fresh (dirty classes are pure), so the worklist may build its
-    # member map from the seed alone (seed_closed).
-    refined = incremental_refine_fixpoint(
-        graph,
-        Partition(colors),
-        subset_nodes,
-        interner,
-        dirty=refine_seed,
-        seed_closed=True,
+
+def _all_canonical(colors: set[Color], interner: ColorInterner) -> bool:
+    """Is every color of *colors* a canonical form in *interner*?"""
+    limit = len(interner)
+    key = interner.key
+    for color in colors:
+        if not 0 <= color < limit:
+            return False
+        form = key(color)
+        if not (isinstance(form, tuple) and form[:1] == ("canon",)):
+            return False
+    return True
+
+
+def _walk_or_batch(
+    graph: TripleGraph,
+    colors: dict[NodeId, Color],
+    walk: set[NodeId],
+    subset: Collection[NodeId] | None,
+    interner: ColorInterner,
+    stats: MaintenanceStats | None = None,
+) -> Partition:
+    """*colors* with canonical forms for *walk*, or batch refinement of
+    *subset* when *walk* holds a cycle."""
+    if _canonize(graph, colors, walk, interner):
+        return Partition(colors)
+    if stats is not None:
+        stats.fell_back = True
+    return bisim_refine_fixpoint(
+        graph, label_partition(graph, interner), subset, interner
     )
 
-    # 6. Coarsening: merge classes the coarsest refinement cannot keep
-    # apart.  When nothing inside the subset was affected, the previous
-    # classes are exact (no cone changed), so the pass is skipped — the
-    # pure-rename fast path.
-    if refine_seed:
-        # The "cyclic" sentinel records a cone cycle seen earlier in the
-        # chain: re-attempting canonization would walk deep into the
-        # graph every step only to rediscover it.
-        if (
-            canon_cache is not None
-            and verbatim
-            and "cyclic" not in canon_cache
-        ):
-            try:
-                refined, merged = _merge_by_canon(
-                    graph, refined, subset_nodes, interner, epoch, canon_cache
-                )
-            except _CanonCycle:
-                # Cyclic cones have no canonical tree form.  The cache
-                # keeps its (still true) entries; the full quotient pass
-                # decides this step and the rest of the chain.
-                canon_cache["cyclic"] = True
-                refined, merged = _merge_coarsened(
-                    graph, refined, subset_nodes, interner, epoch
-                )
-        else:
-            refined, merged = _merge_coarsened(
-                graph, refined, subset_nodes, interner, epoch
-            )
-        if stats is not None:
-            stats.merged_classes = merged
-    return refined
 
-
-class _CanonCycle(Exception):
-    """Raised when the class quotient is cyclic (no canonical tree form)."""
-
-
-def _merge_by_canon(
+def _canonize(
     graph: TripleGraph,
-    partition: Partition,
-    subset_nodes: set[NodeId],
+    colors: dict[NodeId, Color],
+    walk: set[NodeId],
     interner: ColorInterner,
-    epoch: int,
-    canon_cache: dict[Color, int],
-) -> tuple[Partition, int]:
-    """Merge bisimilar stable classes by canonical cone form.
+) -> bool:
+    """Give every node of *walk* the canonical form of its cone.
 
-    Computes, bottom-up over the (acyclic) class quotient, a
-    content-addressed canonical form for every class: the interned key
-    ``("canon", label, {(atom(p), atom(o))})`` where subset endpoints
-    contribute their class's canonical form and frozen endpoints their
-    (label-grounded) color, negated to keep the two namespaces apart.
-    On acyclic cones two nodes are bisimilar iff their canonical forms
-    coincide, so classes sharing a form merge — the same result as the
-    quotient re-refinement of :func:`_merge_coarsened`.
-
-    The walk is over concrete *nodes*, not quotient classes: the
-    quotient of an acyclic graph can itself be cyclic, which would force
-    a spurious fallback.  A stable partition is a bisimulation, so every
-    member of a class has the same canonical form and one finished
-    member canonizes its whole class.
-
-    *canon_cache* (class color → canonical form) persists across a
-    chain's steps: a class carried untouched has an unchanged concrete
-    cone, hence an unchanged canonical form, so only the re-refined
-    region is canonized — O(closure) instead of O(classes).  Raises
-    :class:`_CanonCycle` when a cone is cyclic (canonical tree forms do
-    not exist); completed cache entries remain valid.
+    One iterative post-order walk, with roots in graph node order: a
+    node is interned as ``("canon", label, frozenset{(colors[p],
+    colors[o])})`` once every successor in *walk* has its form.
+    *colors* must already hold the final color of every endpoint outside
+    *walk*.  Returns ``False`` on a cycle among *walk*'s nodes, which has
+    no canonical form; *colors* is then partly rewritten.
     """
-    part = partition.as_dict()
     labels = graph.labels()
-    reps: dict[Color, NodeId] = {}
-    for node in subset_nodes:
-        reps.setdefault(part[node], node)
-
-    node_canon: dict[NodeId, int] = {}
-    in_progress: set[NodeId] = set()
-    for root_color, root in reps.items():
-        if root_color in canon_cache:
+    out = graph.out_index()
+    intern = interner.intern
+    pending = set(walk)
+    expanded: set[NodeId] = set()
+    for root in sorted(walk, key=graph.dense_id):
+        if root not in pending:
             continue
         stack = [root]
         while stack:
-            v = stack[-1]
-            cv = part[v]
-            if cv in canon_cache or v in node_canon:
-                # Possibly resolved by a classmate finishing first.
-                in_progress.discard(v)
-                stack.pop()
+            node = stack[-1]
+            if node not in pending:
+                stack.pop()  # finished by an earlier path
                 continue
-            if v in in_progress:
-                # Second visit: every successor is resolved now.
-                entries = set()
-                for p, o in graph.out(v):
-                    if p in subset_nodes:
-                        pa = canon_cache.get(part[p])
-                        if pa is None:
-                            pa = node_canon[p]
-                    else:
-                        pa = -part[p] - 1
-                    if o in subset_nodes:
-                        oa = canon_cache.get(part[o])
-                        if oa is None:
-                            oa = node_canon[o]
-                    else:
-                        oa = -part[o] - 1
-                    entries.add((pa, oa))
-                value = interner.intern(
-                    ("canon", labels[v], frozenset(entries))
-                )
-                node_canon[v] = value
-                canon_cache[cv] = value
-                in_progress.discard(v)
-                stack.pop()
-                continue
-            in_progress.add(v)
-            for p, o in graph.out(v):
-                for endpoint in (p, o):
-                    if (
-                        endpoint in subset_nodes
-                        and part[endpoint] not in canon_cache
-                        and endpoint not in node_canon
-                    ):
-                        # Everything above an unresolved in-progress node
-                        # on the stack is reachable from it, so hitting
-                        # one again means a genuine cycle.
-                        if endpoint in in_progress:
-                            raise _CanonCycle()
-                        stack.append(endpoint)
-
-    buckets: dict[int, list[Color]] = {}
-    for color in reps:
-        buckets.setdefault(canon_cache[color], []).append(color)
-    if len(buckets) == len(reps):
-        return partition, 0
-    merge_to: dict[Color, Color] = {}
-    merged = 0
-    for canon, colors_list in buckets.items():
-        if len(colors_list) <= 1:
-            continue
-        merged += len(colors_list) - 1
-        new_color = interner.intern(("canon-merged", epoch, canon))
-        for color in colors_list:
-            merge_to[color] = new_color
-        canon_cache[new_color] = canon
-    updates = {
-        node: merge_to[part[node]] for node in subset_nodes if part[node] in merge_to
-    }
-    return partition.with_colors(updates), merged
-
-
-def _merge_coarsened(
-    graph: TripleGraph,
-    partition: Partition,
-    subset_nodes: set[NodeId],
-    interner: ColorInterner,
-    epoch: int,
-) -> tuple[Partition, int]:
-    """Merge stable classes that the coarsest refinement does not split.
-
-    Quotient the stable partition to class level (one representative per
-    class — all members share the class-level signature at a fixpoint)
-    and re-refine the quotient from the initial label grouping against
-    the frozen non-subset colors.  Classes reaching the same quotient
-    fixpoint color are bisimilar and merge.
-    """
-    part = partition.as_dict()
-    representatives: dict[Color, NodeId] = {}
-    for node in subset_nodes:
-        representatives.setdefault(part[node], node)
-    count = len(representatives)
-    if count <= 1:
-        return partition, 0
-    class_colors = list(representatives)
-    index_of = {color: i for i, color in enumerate(class_colors)}
-    labels = graph.labels()
-    # Resolve each representative's neighborhood ONCE: a subset endpoint
-    # becomes an index into the evolving quotient grouping, a non-subset
-    # endpoint stays its frozen color (index -1).  The quotient is then
-    # re-refined split-first with a worklist — one full pass over the
-    # classes, churn-only afterwards — using plain local group ids;
-    # frozen colors are interner ints (>= 0), evolving groups are encoded
-    # as negative ints, so signature pairs can never confuse the two.
-    adjacency: list[tuple[tuple[int, Color, int, Color], ...]] = []
-    predecessors: list[set[int]] = [set() for _ in range(count)]
-    for i, c in enumerate(class_colors):
-        entries = set()
-        for p, o in graph.out(representatives[c]):
-            p_color = part[p]
-            o_color = part[o]
-            p_index = index_of[p_color] if p in subset_nodes else -1
-            o_index = index_of[o_color] if o in subset_nodes else -1
-            entries.add((p_index, p_color, o_index, o_color))
-            if p_index >= 0:
-                predecessors[p_index].add(i)
-            if o_index >= 0:
-                predecessors[o_index].add(i)
-        adjacency.append(tuple(entries))
-
-    group: list[int] = [0] * count
-    members: dict[int, list[int]] = {}
-    group_of_label: dict[object, int] = {}
-    next_group = 0
-    for i, c in enumerate(class_colors):
-        label = labels[representatives[c]]
-        gid = group_of_label.get(label)
-        if gid is None:
-            gid = next_group
-            next_group += 1
-            group_of_label[label] = gid
-        group[i] = gid
-        members.setdefault(gid, []).append(i)
-
-    def signature(i: int) -> tuple:
-        return tuple(
-            sorted(
-                {
+            pairs = out.get(node, ())
+            if node in expanded:
+                # Second visit: every successor has its form now.
+                colors[node] = intern(
                     (
-                        (-group[p_index] - 1) if p_index >= 0 else p_color,
-                        (-group[o_index] - 1) if o_index >= 0 else o_color,
+                        "canon",
+                        labels[node],
+                        frozenset([(colors[p], colors[o]) for p, o in pairs]),
                     )
-                    for p_index, p_color, o_index, o_color in adjacency[i]
-                }
-            )
-        )
-
-    dirty = set(range(count))
-    while dirty:
-        affected_groups = {group[i] for i in dirty}
-        moved: list[int] = []
-        for gid in affected_groups:
-            mem = members[gid]
-            if len(mem) <= 1:
+                )
+                pending.discard(node)
+                stack.pop()
                 continue
-            buckets: dict[tuple, list[int]] = {}
-            for i in mem:
-                buckets.setdefault(signature(i), []).append(i)
-            if len(buckets) <= 1:
-                continue
-            ordered = sorted(buckets.items(), key=lambda item: item[0])
-            members[gid] = ordered[0][1]
-            for __, bucket in ordered[1:]:
-                next_group += 1
-                members[next_group] = bucket
-                for i in bucket:
-                    group[i] = next_group
-                    moved.append(i)
-        dirty = set()
-        for i in moved:
-            dirty.update(predecessors[i])
-
-    group_classes: dict[int, list[int]] = {}
-    for i in range(count):
-        group_classes.setdefault(group[i], []).append(i)
-    merged = count - len(group_classes)
-    if merged == 0:
-        return partition, 0
-    # Only classes that actually merge are recolored; unmerged classes
-    # keep their colors (which keeps any cross-step canonical-form cache
-    # entries for them valid after a cycle fallback).
-    final: dict[Color, Color] = {}
-    for gid, indices in group_classes.items():
-        if len(indices) <= 1:
-            continue
-        color = interner.intern(("merged", epoch, gid))
-        for i in indices:
-            final[class_colors[i]] = color
-    updates = {
-        node: final[part[node]] for node in subset_nodes if part[node] in final
-    }
-    return partition.with_colors(updates), merged
+            expanded.add(node)
+            for pair in pairs:
+                for endpoint in pair:
+                    if endpoint in pending:
+                        # Every node above an expanded, unfinished node
+                        # on the stack is reachable from it: a cycle.
+                        if endpoint in expanded:
+                            return False
+                        stack.append(endpoint)
+    return True
 
 
 def maintain_or_batch(
@@ -597,33 +337,18 @@ def maintain_or_batch(
     subset: Collection[NodeId] | None = None,
     interner: ColorInterner | None = None,
     stats: MaintenanceStats | None = None,
-    canon_cache: dict[Color, int] | None = None,
 ) -> Partition:
-    """Maintain when the precondition holds, else refine from scratch.
+    """Maintain when the preconditions hold, else compute from scratch.
 
-    The documented fallback: partitions maintenance cannot connect to
-    the graph (or whose non-subset classes are not label-grounded, like
-    a hybrid base) are recomputed with batch refinement — never silently
-    diverged from.
+    Partitions that maintenance cannot connect to the graph (or whose
+    non-subset classes are not label-grounded, like a hybrid base) are
+    recomputed with :func:`canonical_fixpoint`, never silently diverged
+    from.  Falling back into the caller's interner re-anchors a chain:
+    the next step carries again.
     """
     try:
-        return maintain_fixpoint(
-            graph, previous, changes, subset, interner, stats, canon_cache
-        )
+        return maintain_fixpoint(graph, previous, changes, subset, interner, stats)
     except PartitionError:
         if stats is not None:
             stats.fell_back = True
-        # Falling back INTO the caller's interner (when given) re-anchors
-        # a chain: the batch result's colors are covered by it, so the
-        # next step maintains verbatim again instead of cascading
-        # fallbacks for the rest of the chain.  The canonical-form cache
-        # must not survive the re-anchor: batch refinement may hand an
-        # old color (e.g. the initial blank color) to a class with a
-        # different cone, which would alias a cached form.
-        if canon_cache is not None:
-            canon_cache.clear()
-        if interner is None:
-            interner = ColorInterner()
-        return bisim_refine_fixpoint(
-            graph, label_partition(graph, interner), subset, interner
-        )
+        return canonical_fixpoint(graph, subset, interner)

@@ -685,10 +685,12 @@ class SyntheticGenerator:
         Renames come from the shared entity keys — blank identifiers
         reshuffle wholesale every version and URIs move under the rename
         operator, so a persistent entity appears as a rename instead of
-        a removal plus an insertion.  This is what keeps incremental
+        a removal plus an insertion.  This is what keeps fixpoint
         maintenance (:mod:`repro.core.maintain`) proportional to the
-        real change: ``version_changes(i).apply(graph(i))`` reproduces
-        ``graph(i + 1)`` exactly.
+        real change: a renamed blank keeps its canonical color, so only
+        the predecessor closure of the edited nodes is recolored.
+        ``version_changes(i).apply(graph(i))`` reproduces ``graph(i + 1)``
+        exactly.
         """
         from ..delta.changes import diff
 

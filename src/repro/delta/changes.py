@@ -21,9 +21,12 @@ exact edit script (node renames/insertions/deletions plus edge
 insertions/deletions) connecting two concrete graphs.  Where
 :class:`Delta` describes changes *modulo an alignment* for human
 consumption, a :class:`VersionChanges` is machine-applicable: ``diff(a,
-b).apply(a)`` rebuilds ``b`` exactly, deltas compose, and the
-incremental-maintenance machinery (:mod:`repro.core.maintain`) consumes
-them to update a bisimulation fixpoint in place of recomputing it.
+b).apply(a)`` rebuilds ``b`` exactly, and deltas compose.  Fixpoint
+maintenance (:mod:`repro.core.maintain`) consumes them: only the
+predecessor closure of a delta's changed nodes gets new canonical
+colors.  It pays only for deltas the caller already has (an archive's
+write log, a generator's entity keys); computing one with :func:`diff`
+costs more than canonizing the new version from scratch.
 """
 
 from __future__ import annotations

@@ -812,8 +812,7 @@ class VersionStore:
         return backend
 
     @classmethod
-    def load(cls, backend, expect: dict | None = None, *,
-             verify_checksums: bool = True) -> "VersionStore":
+    def load(cls, backend, expect: dict | None = None) -> "VersionStore":
         """Reload a persisted store (fresh process, read-only backends OK).
 
         *expect* pins the archive identity (family/scale/seed/versions):
@@ -837,11 +836,9 @@ class VersionStore:
         from .persist import DiskBackend, resolve_backend
 
         if isinstance(backend, (str, os.PathLike)):
-            backend = DiskBackend.open(backend, verify_checksums=verify_checksums)
+            backend = DiskBackend.open(backend)
         else:
             backend = resolve_backend(backend)
-            if hasattr(backend, "verify_checksums"):
-                backend.verify_checksums = verify_checksums
         identity = backend.get_json("store/identity") or {}
         versions = int(
             backend.get_json("store/versions") or identity.get("versions") or 0

@@ -355,7 +355,7 @@ class TripleGraph:
         )
 
     # ------------------------------------------------------------------
-    # Reverse occurrence index (for incremental refinement)
+    # Reverse occurrence index (for fixpoint maintenance)
     # ------------------------------------------------------------------
     def occurrences(self, node: NodeId) -> frozenset[NodeId]:
         """Nodes ``n`` whose outbound neighborhood mentions *node*.
@@ -363,17 +363,17 @@ class TripleGraph:
         A node ``v`` occurs in ``out_G(n)`` if there is an edge
         ``(n, v, o)`` or ``(n, p, v)``.  When ``v``'s color changes during
         partition refinement, exactly the nodes returned here may need to be
-        recolored — this is the worklist of the incremental algorithm.
+        recolored — the step of fixpoint maintenance's predecessor closure.
         """
         return frozenset(self.occurrence_index().get(node, ()))
 
     def occurrence_index(self) -> Mapping[NodeId, set[NodeId]]:
         """The whole reverse index at once (treat as read-only).
 
-        Bulk consumers (the maintenance closure BFS, the worklist loop of
-        the incremental refinement) call this once instead of paying a
-        frozenset copy per :meth:`occurrences` query; nodes that occur in
-        no neighborhood are absent.  Built from the columns on first use.
+        Bulk consumers (the maintenance closure BFS) call this once
+        instead of paying a frozenset copy per :meth:`occurrences` query;
+        nodes that occur in no neighborhood are absent.  Built from the
+        columns on first use.
         """
         index = self._occurrences
         if index is None:

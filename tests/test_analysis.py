@@ -255,40 +255,11 @@ class TestShmLifecycle:
         result = lint_snippet(tmp_path, bad, rule=self.RULE)
         assert [rule for rule, _ in findings_of(result)] == [self.RULE]
 
-    def test_bad_unowned_registry(self, tmp_path):
-        bad = (
-            "from repro.experiments.shm import ShmRegistry\n"
-            "def publish(csr):\n"
-            "    registry = ShmRegistry()\n"
-            "    return csr.to_shared(registry)\n"
-        )
-        result = lint_snippet(tmp_path, bad, rule=self.RULE)
-        assert [rule for rule, _ in findings_of(result)] == [self.RULE]
-
-    def test_bad_inline_registry_to_publisher(self, tmp_path):
-        bad = (
-            "from repro.experiments.shm import ShmRegistry\n"
-            "def publish(csr):\n"
-            "    return csr.to_shared(ShmRegistry())\n"
-        )
-        result = lint_snippet(tmp_path, bad, rule=self.RULE)
-        assert [rule for rule, _ in findings_of(result)] == [self.RULE]
-
-    def test_good_owned_registries(self, tmp_path):
+    def test_good_attach_by_name(self, tmp_path):
         good = (
-            "from repro.experiments.shm import ShmRegistry\n"
-            "def with_context(csr):\n"
-            "    with ShmRegistry() as registry:\n"
-            "        return csr.to_shared(registry)\n"
-            "def with_finally(csr):\n"
-            "    registry = ShmRegistry()\n"
-            "    try:\n"
-            "        return csr.to_shared(registry)\n"
-            "    finally:\n"
-            "        registry.unlink()\n"
-            "class Pool:\n"
-            "    def __init__(self):\n"
-            "        self._registry = ShmRegistry()\n"
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def attach(name):\n"
+            "    return SharedMemory(name=name, create=False)\n"
         )
         assert lint_snippet(tmp_path, good, rule=self.RULE).findings == []
 

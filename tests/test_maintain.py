@@ -15,7 +15,11 @@ The contract under test, in increasing generality:
   mutation sequences, ``maintain_fixpoint(previous, delta)`` is
   equivalent (up to recoloring) to batch
   :func:`~repro.core.refinement.bisim_refine_fixpoint` on the mutated
-  graph, for both the deblanking subset and full bisimulation.
+  graph, for both the deblanking subset and full bisimulation;
+* the chain contract: anchored by
+  :func:`~repro.core.maintain.canonical_fixpoint` in one chain interner,
+  a step carries every color outside its delta's predecessor closure,
+  and a cycle in the closure falls back to batch for one step.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.align import AlignConfig, Aligner
 from repro.core.maintain import (
     MaintenanceStats,
+    canonical_fixpoint,
     deblank_fixpoint,
     maintain_fixpoint,
     maintain_or_batch,
@@ -101,19 +107,20 @@ def _perturb(before: RDFGraph, rng: random.Random):
 
 class TestHandBuilt:
     def test_pure_rename_is_key_substitution(self):
-        """A blank reshuffle keeps every class; nothing is re-refined."""
+        """A blank reshuffle keeps every class; nothing is recolored."""
         g1 = RDFGraph()
         g1.add(blank("a"), uri("p"), lit("x"))
         g1.add(blank("b"), uri("p"), lit("y"))
         g2 = RDFGraph()
         g2.add(blank("a2"), uri("p"), lit("x"))
         g2.add(blank("b2"), uri("p"), lit("y"))
-        previous = deblank_fixpoint(g1)
+        interner = ColorInterner()
+        previous = canonical_fixpoint(g1, g1.blanks(), interner)
         delta = diff(g1, g2, renames={blank("a"): blank("a2"),
                                       blank("b"): blank("b2")})
         stats = MaintenanceStats()
         maintained = maintain_fixpoint(
-            g2, previous, delta, g2.blanks(), stats=stats
+            g2, previous, delta, g2.blanks(), interner, stats
         )
         assert maintained.equivalent_to(deblank_fixpoint(g2))
         assert stats.refined == 0
@@ -147,13 +154,9 @@ class TestHandBuilt:
         g2.term(lit("z"))
         previous = deblank_fixpoint(g1)
         assert not previous.same_class(blank("a"), blank("b"))
-        stats = MaintenanceStats()
-        maintained = maintain_fixpoint(
-            g2, previous, diff(g1, g2), g2.blanks(), stats=stats
-        )
+        maintained = maintain_fixpoint(g2, previous, diff(g1, g2), g2.blanks())
         assert maintained.equivalent_to(deblank_fixpoint(g2))
         assert maintained.same_class(blank("a"), blank("b"))
-        assert stats.merged_classes >= 1
 
     def test_literal_edit_merges_upstream_classes(self):
         """An object-value edit propagates to the blanks pointing at it."""
@@ -278,23 +281,23 @@ class TestPropertyRandom:
 
 
 class TestChainContract:
-    """The persistent-interner fast path: one interner (and canonical-form
-    cache) shared across a whole chain, carried colors reused verbatim."""
+    """One interner shared across a whole chain, anchored by
+    :func:`canonical_fixpoint`: colors outside each step's closure are
+    carried as they are."""
 
     @given(seed=_seeds)
     @settings(max_examples=25, deadline=None)
     def test_verbatim_chain_with_canon_cache_equals_batch(self, seed):
+        """Blank subset, three steps: every step equals batch."""
         rng = random.Random(seed)
         graph = random_rdf_graph(rng, num_edges=18)
         interner = ColorInterner()
-        canon_cache: dict = {}
-        partition = deblank_fixpoint(graph, interner)
+        partition = canonical_fixpoint(graph, graph.blanks(), interner)
         for _ in range(3):
             mutated, renames = _perturb(graph, rng)
             delta = diff(graph, mutated, renames=renames)
             partition = maintain_fixpoint(
-                mutated, partition, delta, mutated.blanks(),
-                interner, canon_cache=canon_cache,
+                mutated, partition, delta, mutated.blanks(), interner
             )
             assert partition.equivalent_to(deblank_fixpoint(mutated))
             graph = mutated
@@ -305,23 +308,49 @@ class TestChainContract:
         rng = random.Random(seed)
         graph = random_rdf_graph(rng, num_edges=18)
         interner = ColorInterner()
-        canon_cache: dict = {}
-        partition = bisim_refine_fixpoint(
-            graph, label_partition(graph, interner), None, interner
-        )
+        partition = canonical_fixpoint(graph, None, interner)
         for _ in range(2):
             mutated, renames = _perturb(graph, rng)
             delta = diff(graph, mutated, renames=renames)
             partition = maintain_fixpoint(
-                mutated, partition, delta, None,
-                interner, canon_cache=canon_cache,
+                mutated, partition, delta, None, interner
             )
             assert partition.equivalent_to(_batch(mutated, None))
             graph = mutated
 
+    def test_chain_equals_batch_and_carries(self):
+        """Three perturbation steps per draw, for the blank subset and
+        for ``subset=None``: every step equals batch, and some step
+        carries part of its subset instead of walking all of it."""
+        carried = []
+
+        @given(seed=_seeds, full=st.booleans())
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def chain(seed, full):
+            rng = random.Random(seed)
+            graph = random_rdf_graph(rng, num_edges=18)
+            interner = ColorInterner()
+            subset = None if full else graph.blanks()
+            partition = canonical_fixpoint(graph, subset, interner)
+            for _ in range(3):
+                mutated, renames = _perturb(graph, rng)
+                delta = diff(graph, mutated, renames=renames)
+                subset = None if full else mutated.blanks()
+                stats = MaintenanceStats()
+                partition = maintain_fixpoint(
+                    mutated, partition, delta, subset, interner, stats
+                )
+                assert partition.equivalent_to(_batch(mutated, subset))
+                size = len(mutated.labels()) if full else len(subset)
+                carried.append(0 < stats.refined < size)
+                graph = mutated
+
+        chain()
+        assert any(carried)
+
     def test_cyclic_cones_fall_back_to_quotient_merge(self):
-        """A blank cycle has no canonical tree form: the canon merge must
-        fall back to the quotient pass for the step — same result."""
+        """A blank cycle has no canonical form: the step whose closure
+        holds one falls back to batch refinement, with the same result."""
         g1 = RDFGraph()
         g1.add(blank("a"), uri("p"), blank("b"))
         g1.add(blank("b"), uri("p"), blank("a"))
@@ -333,29 +362,41 @@ class TestChainContract:
         g2.add(blank("c"), uri("p"), blank("c"))
         g2.term(lit("x"))  # deletion: a/b lose their distinguisher
         interner = ColorInterner()
-        canon_cache: dict = {}
-        previous = deblank_fixpoint(g1, interner)
+        previous = canonical_fixpoint(g1, g1.blanks(), interner)
+        stats = MaintenanceStats()
         maintained = maintain_fixpoint(
-            g2, previous, diff(g1, g2), g2.blanks(),
-            interner, canon_cache=canon_cache,
+            g2, previous, diff(g1, g2), g2.blanks(), interner, stats
         )
+        assert stats.fell_back
         assert maintained.equivalent_to(deblank_fixpoint(g2))
         # The coarsening actually happened: a, b and c all look alike now.
         assert maintained.same_class(blank("a"), blank("c"))
 
-    def test_cache_is_cleared_on_fallback(self):
-        """After a batch fallback the cache must not leak stale forms
-        (batch refinement can hand an old color to a different class)."""
-        union, previous = TestPrecondition._hybrid_case()
+    def test_fallback_walks_then_carries(self):
+        """A step whose closure holds a blank cycle falls back to batch;
+        the next step cannot carry a batch result and walks its whole
+        subset; the step after that carries again."""
+        steps = [RDFGraph() for _ in range(4)]
+        for graph in steps:
+            graph.add(blank("a"), uri("p"), lit("x"))
+            graph.add(blank("b"), uri("p"), lit("y"))
+            graph.add(blank("c"), uri("p"), blank("a"))
+        steps[1].add(blank("d"), uri("q"), blank("d"))  # a blank cycle
+        steps[2].add(blank("d"), uri("q"), lit("z"))  # cycle broken
+        steps[3].add(blank("d"), uri("q"), lit("z"))
+        steps[3].add(blank("b"), uri("q"), lit("z"))  # b's cone changes
         interner = ColorInterner()
-        canon_cache: dict = {1: 2}
-        stats = MaintenanceStats()
-        maintain_or_batch(
-            union, previous, VersionChanges(), union.blanks(),
-            interner, stats, canon_cache=canon_cache,
-        )
-        assert stats.fell_back
-        assert not canon_cache
+        partition = canonical_fixpoint(steps[0], steps[0].blanks(), interner)
+        outcomes = []
+        for before, after in zip(steps, steps[1:]):
+            stats = MaintenanceStats()
+            partition = maintain_fixpoint(
+                after, partition, diff(before, after), after.blanks(),
+                interner, stats,
+            )
+            assert partition.equivalent_to(deblank_fixpoint(after))
+            outcomes.append((stats.fell_back, stats.refined, stats.kept))
+        assert outcomes == [(True, 1, 3), (False, 4, 0), (False, 1, 3)]
 
 
 class TestScenarioChain:
@@ -372,3 +413,25 @@ class TestScenarioChain:
                 graphs[index + 1].blanks(),
             )
             assert partition.equivalent_to(deblank_fixpoint(graphs[index + 1]))
+
+    @pytest.mark.parametrize("method", ["deblank", "hybrid", "overlap"])
+    def test_incremental_chain_reports_match_batch(self, method):
+        """``align_chain(incremental=True)`` renders the batch chain's
+        report bytes, whether it maintains under the generator's deltas
+        or canonizes each version without them."""
+        generator = SyntheticGenerator(config=SCENARIOS["mutation_chain"])
+        graphs = generator.graphs()
+        deltas = [
+            generator.version_changes(index) for index in range(len(graphs) - 1)
+        ]
+        config = AlignConfig(method=method)
+        expected = [
+            result.report(config).to_json()
+            for result in Aligner(config).align_chain(graphs)
+        ]
+        incremental = config.evolve(incremental=True)
+        for changes in (deltas, None):
+            chain = Aligner(incremental).align_chain(graphs, changes=changes)
+            assert [
+                result.report(incremental).to_json() for result in chain
+            ] == expected

@@ -328,6 +328,13 @@ class TestCorruptionDetection:
         # Corruption passes through silently — the caller opted out.
         assert backend.get_blob("graphs/0.nt") is not None
 
+    def test_load_keeps_the_backends_checksum_setting(self, store, tmp_path):
+        root = self._saved(store, tmp_path)
+        backend = DiskBackend.open(root, verify_checksums=False)
+        loaded = VersionStore.load(backend)
+        assert loaded.backend is backend
+        assert backend.verify_checksums is False
+
     def test_verify_walk_clean_and_corrupt(self, store, tmp_path):
         root = self._saved(store, tmp_path)
         backend = DiskBackend.open(root)

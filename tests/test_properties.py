@@ -6,13 +6,12 @@ of them; the properties below must hold for *every* such input:
 1.  ``Align(λTrivial) ⊆ Align(λDeblank) ⊆ Align(λHybrid) ⊆ Align(λOverlap)``,
 2.  partition alignments always have the crossover property,
 3.  refinement is monotone and its fixpoint is stable,
-4.  incremental ≡ batch refinement,
-5.  deblank self-alignment is complete,
-6.  ``Propagate((λTrivial, 0)) ≡ (λHybrid, 0)``,
-7.  Theorem 1 (⊕ reading): same overlap cluster ⇒ ``σEdit ≤ ω ⊕ ω``,
-8.  bidirectional refinement is finer than outbound refinement,
-9.  archives reconstruct every version exactly,
-10. σEdit is bounded, 0 on hybrid-aligned pairs and symmetric in the
+4.  deblank self-alignment is complete,
+5.  ``Propagate((λTrivial, 0)) ≡ (λHybrid, 0)``,
+6.  Theorem 1 (⊕ reading): same overlap cluster ⇒ ``σEdit ≤ ω ⊕ ω``,
+7.  bidirectional refinement is finer than outbound refinement,
+8.  archives reconstruct every version exactly,
+9.  σEdit is bounded, 0 on hybrid-aligned pairs and symmetric in the
     label-swap sense on literals.
 """
 
@@ -27,7 +26,6 @@ from repro.core.bisimulation import bisimulation_partition
 from repro.core.context import bidirectional_bisimulation_partition
 from repro.core.deblank import deblank_partition
 from repro.core.hybrid import hybrid_partition
-from repro.core.incremental import incremental_refine_fixpoint
 from repro.core.refinement import bisim_refine_fixpoint, bisim_refine_step
 from repro.core.trivial import trivial_partition
 from repro.model import RDFGraph, blank, combine, lit, uri
@@ -162,20 +160,6 @@ def test_refinement_monotone_and_stable(graph):
     assert fixpoint.finer_than(initial)
     again = bisim_refine_step(graph, fixpoint, list(graph.nodes()), interner)
     assert again.equivalent_to(fixpoint)
-
-
-@settings(**COMMON)
-@given(graph=rdf_graphs())
-def test_incremental_equals_batch(graph):
-    interner_a = ColorInterner()
-    batch = bisim_refine_fixpoint(
-        graph, label_partition(graph, interner_a), None, interner_a
-    )
-    interner_b = ColorInterner()
-    incremental = incremental_refine_fixpoint(
-        graph, label_partition(graph, interner_b), None, interner_b
-    )
-    assert incremental.equivalent_to(batch)
 
 
 @settings(**COMMON)
